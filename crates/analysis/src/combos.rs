@@ -7,7 +7,7 @@
 //! AS29988 produce unsolicited DNS requests only."
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::{Combo, CorrelatedRequest, PathKey};
+use shadow_core::correlate::{Combo, PathKey};
 use shadow_core::phase2::TracerouteResult;
 use shadow_core::sink::CorrelationAggregates;
 use shadow_geo::GeoDb;
@@ -15,20 +15,9 @@ use shadow_honeypot::capture::ArrivalProtocol;
 use std::collections::BTreeMap;
 
 /// Counts per `Decoy-Request` combination (e.g. `DNS-HTTP`), keyed by the
-/// typed [`Combo`] (its `Display` is the paper's label).
-pub fn combo_counts(correlated: &[CorrelatedRequest]) -> BTreeMap<Combo, usize> {
-    let mut out = BTreeMap::new();
-    for req in correlated {
-        if req.label.is_unsolicited() {
-            *out.entry(req.combo()).or_insert(0) += 1;
-        }
-    }
-    out
-}
-
-/// The streamed [`combo_counts`]: the sink already folded the combination
-/// counters at capture time.
-pub fn combo_counts_streamed(aggregates: &CorrelationAggregates) -> BTreeMap<Combo, usize> {
+/// typed [`Combo`] (its `Display` is the paper's label). The sink folded
+/// the combination counters at capture time.
+pub fn combo_counts(aggregates: &CorrelationAggregates) -> BTreeMap<Combo, usize> {
     aggregates
         .combos
         .iter()
@@ -45,54 +34,14 @@ pub struct ObserverCombos {
 
 impl ObserverCombos {
     /// Attribute each unsolicited request on a traced path to the observer
-    /// AS Phase II localized there (on-wire observers only).
+    /// AS Phase II localized there (on-wire observers only). Per-path ×
+    /// arrival-protocol counters come from the capture-time fold.
     pub fn compute(
-        correlated: &[CorrelatedRequest],
-        traceroutes: &[TracerouteResult],
-        geo: &GeoDb,
-    ) -> Self {
-        // Path → observer AS, for paths with an on-wire observer address.
-        let mut observer_as: BTreeMap<PathKey, u32> = BTreeMap::new();
-        for r in traceroutes {
-            if r.normalized_hop == Some(10) {
-                continue; // destination-side: not an on-the-wire device
-            }
-            if let Some(addr) = r.observer_addr {
-                if let Some(asn) = geo.asn_of(addr) {
-                    observer_as.insert(r.path, asn.0);
-                }
-            }
-        }
-        let mut per_as: BTreeMap<u32, BTreeMap<String, usize>> = BTreeMap::new();
-        for req in correlated {
-            if !req.label.is_unsolicited() {
-                continue;
-            }
-            let key = PathKey {
-                vp: req.decoy.vp,
-                dst: req.decoy.dst(),
-                protocol: req.decoy.protocol,
-            };
-            let Some(&asn) = observer_as.get(&key) else {
-                continue;
-            };
-            *per_as
-                .entry(asn)
-                .or_default()
-                .entry(req.arrival.protocol.as_str().to_string())
-                .or_insert(0) += 1;
-        }
-        Self { per_as }
-    }
-
-    /// The streamed [`ObserverCombos::compute`]: per-path × arrival-protocol
-    /// counters come from the capture-time fold instead of a retained
-    /// correlated vector.
-    pub fn compute_streamed(
         aggregates: &CorrelationAggregates,
         traceroutes: &[TracerouteResult],
         geo: &GeoDb,
     ) -> Self {
+        // Path → observer AS, for paths with an on-wire observer address.
         let mut observer_as: BTreeMap<PathKey, u32> = BTreeMap::new();
         for r in traceroutes {
             if r.normalized_hop == Some(10) {
@@ -142,8 +91,8 @@ impl ObserverCombos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
     use shadow_core::decoy::{DecoyProtocol, DecoyRegistry};
+    use shadow_core::sink::SinkConfig;
     use shadow_geo::country::cc;
     use shadow_geo::{AsKind, Asn, GeoDb, Ipv4Prefix};
     use shadow_honeypot::capture::Arrival;
@@ -179,10 +128,10 @@ mod tests {
             mk(6_000, ArrivalProtocol::Http),
             mk(7_000, ArrivalProtocol::Dns),
         ];
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
 
-        let combos = combo_counts(&correlated);
+        let combos = combo_counts(&aggregates);
         assert_eq!(combos[&Combo::HttpHttp], 2);
         assert_eq!(combos[&Combo::HttpDns], 1);
         assert_eq!(Combo::HttpHttp.to_string(), "HTTP-HTTP");
@@ -208,7 +157,7 @@ mod tests {
             observer_addr: Some(Ipv4Addr::new(61, 0, 0, 1)),
             revealed_routers: vec![],
         }];
-        let mixes = ObserverCombos::compute(&correlated, &traceroutes, &geo);
+        let mixes = ObserverCombos::compute(&aggregates, &traceroutes, &geo);
         assert!((mixes.protocol_fraction(4134, ArrivalProtocol::Http) - 2.0 / 3.0).abs() < 1e-9);
         assert!(!mixes.dns_only(4134));
     }

@@ -2,7 +2,7 @@
 //! grouped by VP country and destination.
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::{CorrelatedRequest, Correlator, PathKey};
+use shadow_core::correlate::PathKey;
 use shadow_core::decoy::{DecoyProtocol, DecoyRegistry};
 use shadow_core::sink::CorrelationAggregates;
 use shadow_geo::CountryCode;
@@ -37,25 +37,11 @@ pub struct LandscapeReport {
 }
 
 impl LandscapeReport {
-    /// Compute the landscape. `dest_names` maps destination addresses to
-    /// display names (resolver names / "tranco:CC" groups).
+    /// Compute the landscape from the capture-time fold: the
+    /// problematic-path set is the aggregates' path map. `dest_names` maps
+    /// destination addresses to display names (resolver names /
+    /// "tranco:CC" groups).
     pub fn compute(
-        registry: &DecoyRegistry,
-        correlated: &[CorrelatedRequest],
-        platform: &Platform,
-        dest_names: &BTreeMap<Ipv4Addr, String>,
-    ) -> Self {
-        let correlator = Correlator::new(registry);
-        let problematic: BTreeSet<PathKey> = correlator
-            .problematic_paths(correlated)
-            .into_keys()
-            .collect();
-        Self::from_problematic(registry, &problematic, platform, dest_names)
-    }
-
-    /// The streamed [`LandscapeReport::compute`]: the problematic-path set
-    /// comes straight from the capture-time fold's path map.
-    pub fn compute_streamed(
         registry: &DecoyRegistry,
         aggregates: &CorrelationAggregates,
         platform: &Platform,
@@ -187,7 +173,7 @@ impl LandscapeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
+    use shadow_core::sink::SinkConfig;
     use shadow_geo::country::cc;
     use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
     use shadow_netsim::time::SimTime;
@@ -256,12 +242,12 @@ mod tests {
             }
         }
         arrivals.sort_by_key(|a| a.at);
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
         let mut names = BTreeMap::new();
         names.insert(yandex, "Yandex".to_string());
         names.insert(google, "Google".to_string());
-        let report = LandscapeReport::compute(&registry, &correlated, &platform(), &names);
+        let report = LandscapeReport::compute(&registry, &aggregates, &platform(), &names);
 
         assert_eq!(report.destination_ratio("Yandex", DecoyProtocol::Dns), 1.0);
         assert_eq!(report.destination_ratio("Google", DecoyProtocol::Dns), 0.0);

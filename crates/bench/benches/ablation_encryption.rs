@@ -9,13 +9,14 @@ use shadow_bench::encryption::{encryption_json_path, record_encryption_json, run
 use shadow_bench::pct;
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 fn run(seed: u64, encrypted: bool) -> StudyOutcome {
-    Study::run(StudyConfig {
+    let config = StudyConfig {
         world: WorldConfig::tiny(seed),
         phase1: Phase1Config {
             encryption: if encrypted {
@@ -28,10 +29,11 @@ fn run(seed: u64, encrypted: bool) -> StudyOutcome {
         phase2: Phase2Config::default(),
         trace_cap_per_protocol: 0,
         run_phase2: false,
-        telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
+        telemetry: TelemetryOptions::disabled(),
         faults: None,
         retain_arrivals: false,
-    })
+    };
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
 }
 
 /// One-shot trajectory measurement, recorded into `BENCH_encryption.json`

@@ -7,17 +7,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shadow_bench::pct;
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::study::{Study, StudyConfig};
 
 fn localization_at(icmp_percent: u8) -> (usize, usize, usize) {
-    let outcome = Study::run(StudyConfig {
+    let config = StudyConfig {
         world: WorldConfig {
             icmp_response_percent: icmp_percent,
             ..WorldConfig::tiny(51)
         },
         ..StudyConfig::tiny(51)
-    });
+    };
+    let outcome = Study::run_work_stealing(config, StealConfig::with_workers(1));
     let traced = outcome.traceroutes.len();
     let localized = outcome
         .traceroutes

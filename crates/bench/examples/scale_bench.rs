@@ -1,12 +1,16 @@
 //! Paper-scale throughput bench orchestrator behind `BENCH_scale.json`.
 //!
-//! Runs `scale_probe` once per `(scale, execution shape)` cell — each in
-//! its own process, because peak RSS (VmHWM) is a process-lifetime
-//! high-water mark — and folds the cells into the trajectory record:
+//! Runs `scale_probe` once per `(scale, workers)` cell — each in its own
+//! process, because peak RSS (VmHWM) is a process-lifetime high-water
+//! mark — and folds the cells into the trajectory record:
 //!
-//! * `paper / ws @ num_cpus` vs `paper / fixed @ 4` — the work-stealing
-//!   scheduler against the fixed 4-shard split, same bounded VP slice;
+//! * `paper / ws @ num_cpus` — the paper's deployment, bounded VP slice;
 //! * `10x / ws @ num_cpus` — ten times the paper's decoy volume.
+//!
+//! The committed `BENCH_scale.json` predates the single executor: its
+//! `fixed @ 4` cell and `ws_over_fixed_paper` ratio record the fixed-shard
+//! executor's cost, the measurement that retired it. A re-run writes the
+//! `ws` cells only.
 //!
 //! With `--test` only the tiny smoke cells run (full fidelity, every
 //! subsystem, seconds of wall) and no record is written — the CI hook.
@@ -18,9 +22,8 @@ use shadow_bench::scale::{record_scale_json, scale_json_path, ScaleCell, ScaleRe
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Paper-scale cells execute this many VPs (both shapes, same slice, so
-/// hops/sec compares like-for-like); setup — world, pre-flight, the full
-/// ~20M-send plan — runs unbounded. See `shadow_bench::scale`.
+/// Paper-scale cells execute this many VPs; setup — world, pre-flight,
+/// the full ~20M-send plan — runs unbounded. See `shadow_bench::scale`.
 const PAPER_SLICE: usize = 16;
 
 /// The 10x world carries ~3.2x the sites (sends per VP), so a smaller
@@ -37,15 +40,15 @@ fn probe_bin() -> PathBuf {
     bin
 }
 
-fn run_cell(bin: &Path, scale: &str, mode: &str, workers: usize, vp_slice: usize) -> ScaleCell {
-    eprintln!("[scale] {scale}/{mode} workers={workers} vp_slice={vp_slice} ...");
+fn run_cell(bin: &Path, scale: &str, workers: usize, vp_slice: usize) -> ScaleCell {
+    eprintln!("[scale] {scale} workers={workers} vp_slice={vp_slice} ...");
     let out = Command::new(bin)
-        .args([scale, mode, &workers.to_string(), &vp_slice.to_string()])
+        .args([scale, &workers.to_string(), &vp_slice.to_string()])
         .output()
         .expect("scale_probe runs");
     assert!(
         out.status.success(),
-        "scale_probe {scale}/{mode} failed:\n{}",
+        "scale_probe {scale} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8(out.stdout).expect("scale_probe output is UTF-8");
@@ -69,46 +72,30 @@ fn main() {
         .unwrap_or(1);
 
     if test_mode {
-        // Smoke: the tiny world end-to-end under both shapes. The two
-        // cells are byte-equivalent by the sharded-equivalence guarantee;
-        // here we only need them to run and produce traffic.
-        let ws = run_cell(&bin, "smoke", "ws", cpus, 0);
-        let fixed = run_cell(&bin, "smoke", "fixed", 4, 0);
+        // Smoke: the tiny world end-to-end; here we only need the cell to
+        // run, produce traffic and capture its peak RSS.
+        let ws = run_cell(&bin, "smoke", cpus, 0);
+        assert!(ws.hops > 0, "smoke cell produced no traffic");
         assert!(
-            ws.hops > 0 && fixed.hops > 0,
-            "smoke cells produced no traffic"
-        );
-        assert!(
-            ws.peak_rss_bytes.is_some() && fixed.peak_rss_bytes.is_some(),
-            "peak-RSS capture missing from smoke cells"
+            ws.peak_rss_bytes.is_some(),
+            "peak-RSS capture missing from smoke cell"
         );
         println!(
-            "scale bench smoke OK: ws {:.0} hops/sec (peak RSS {} MB), fixed@4 {:.0} hops/sec (peak RSS {} MB)",
+            "scale bench smoke OK: ws {:.0} hops/sec (peak RSS {} MB)",
             ws.hops_per_sec,
             ws.peak_rss_bytes.unwrap_or(0) / (1 << 20),
-            fixed.hops_per_sec,
-            fixed.peak_rss_bytes.unwrap_or(0) / (1 << 20),
         );
         return;
     }
 
-    let paper_ws = run_cell(&bin, "paper", "ws", cpus, PAPER_SLICE);
-    let paper_fixed = run_cell(&bin, "paper", "fixed", 4, PAPER_SLICE);
-    let tenx_ws = run_cell(&bin, "10x", "ws", cpus, TENX_SLICE);
-
-    let ws_over_fixed = paper_ws.hops_per_sec / paper_fixed.hops_per_sec.max(1e-9);
+    let paper_ws = run_cell(&bin, "paper", cpus, PAPER_SLICE);
+    let tenx_ws = run_cell(&bin, "10x", cpus, TENX_SLICE);
     let record = ScaleRecord {
         bench: "scale/phase1_paper".to_string(),
         host_cpus: cpus,
-        cells: vec![paper_ws, paper_fixed, tenx_ws],
-        ws_over_fixed_paper: Some(ws_over_fixed),
+        cells: vec![paper_ws, tenx_ws],
     };
     let path = scale_json_path();
     record_scale_json(&path, &record);
-    println!(
-        "wrote {} (ws@{} over fixed@4 at paper scale: {:.2}x)",
-        path.display(),
-        cpus,
-        ws_over_fixed
-    );
+    println!("wrote {}", path.display());
 }

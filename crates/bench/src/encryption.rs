@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::time::Instant;
 use traffic_shadowing::encryption::{run_default_sweep, EncryptionReport};
-use traffic_shadowing::shadow_core::executor::TelemetryOptions;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig};
 
@@ -66,12 +66,14 @@ fn tiny_config(seed: u64, deployment: EncryptionDeployment) -> StudyConfig {
 /// default-ladder sweep, on the tiny world.
 pub fn run_encryption(seed: u64, shards: usize) -> (EncryptionMetrics, EncryptionReport) {
     let started = Instant::now();
-    let plain = Study::run_sharded(tiny_config(seed, EncryptionDeployment::plaintext()), shards);
+    let steal = StealConfig::with_workers(shards).with_chunks(shards);
+    let plain =
+        Study::run_work_stealing(tiny_config(seed, EncryptionDeployment::plaintext()), steal);
     let plaintext_elapsed = started.elapsed();
     std::hint::black_box(plain.phase1.aggregates.arrivals_seen);
 
     let started = Instant::now();
-    let full = Study::run_sharded(tiny_config(seed, EncryptionDeployment::full()), shards);
+    let full = Study::run_work_stealing(tiny_config(seed, EncryptionDeployment::full()), steal);
     let encrypted_elapsed = started.elapsed();
     std::hint::black_box(full.phase1.aggregates.arrivals_seen);
 

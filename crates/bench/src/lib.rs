@@ -11,6 +11,7 @@
 //! isolates per-hop forwarding + DPI inspection cost from campaign logic.
 
 use std::sync::OnceLock;
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 pub mod correlate;
@@ -32,7 +33,10 @@ pub fn study() -> &'static StudyOutcome {
         let started = std::time::Instant::now();
         // Retained: the figure benches time the batch (sample-level)
         // analysis passes against the streamed aggregates.
-        let outcome = Study::run(StudyConfig::standard(BENCH_SEED).with_retained_arrivals());
+        let outcome = Study::run_work_stealing(
+            StudyConfig::standard(BENCH_SEED).with_retained_arrivals(),
+            StealConfig::with_workers(1),
+        );
         eprintln!("[bench fixture] campaign done in {:?}", started.elapsed());
         outcome
     })

@@ -1,18 +1,17 @@
 //! Paper-scale campaign throughput behind `BENCH_scale.json`: Phase I at
 //! the source paper's deployment scale (4,364 VPs × 2,325 Tranco sites,
-//! ~20M decoys per round) and at 10× that volume, under both execution
-//! shapes — the work-stealing scheduler at `K = num_cpus` and the fixed
-//! 4-shard split it replaces.
+//! ~20M decoys per round) and at 10× that volume, under the work-stealing
+//! executor at `K = num_cpus`. The committed record also holds a
+//! `fixed @ 4` cell from the retired fixed-shard executor, kept as the
+//! measurement that retired it.
 //!
 //! Full Phase I at these scales runs for minutes (paper) to hours (10×)
 //! on one core, so each cell executes a bounded, documented **VP slice**:
 //! the world, Appendix-E pre-flight and the full-campaign plan are built
-//! at true scale (that setup is the serial tail the work-stealing path
-//! amortizes — one scout plan shared via `Arc` versus one replan per
-//! fixed shard), while only the first `vp_slice` VPs post their decoys.
-//! `hops/sec` is therefore end-to-end throughput of the bounded campaign
-//! including setup, which is exactly the regime where shared-plan
-//! work-stealing beats the fixed split.
+//! at true scale (one scout plan shared via `Arc` by every chunk), while
+//! only the first `vp_slice` VPs post their decoys. `hops/sec` is
+//! therefore end-to-end throughput of the bounded campaign including
+//! setup.
 //!
 //! Peak RSS is VmHWM, which is a process-lifetime high-water mark — so
 //! every cell must run in its own process. `examples/scale_probe.rs`
@@ -25,7 +24,7 @@ use std::path::Path;
 use std::time::Instant;
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::executor::{
-    run_phase1_sharded_bounded, run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
+    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
 };
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
@@ -35,15 +34,13 @@ use crate::hotpath::peak_rss_bytes;
 /// Deterministic world seed shared by every scale cell.
 pub const SCALE_SEED: u64 = 0x5eed_2024;
 
-/// One `(scale, execution shape)` measurement, produced in a dedicated
+/// One `(scale, workers)` measurement, produced in a dedicated
 /// process so `peak_rss_bytes` attributes to this cell alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScaleCell {
     /// World scale: `smoke`, `paper` or `10x`.
     pub scale: String,
-    /// Execution shape: `ws` (work-stealing) or `fixed` (K static shards).
-    pub mode: String,
-    /// Worker threads (`ws`) or shard count (`fixed`).
+    /// Worker threads.
     pub workers: usize,
     pub vps: usize,
     pub sites: usize,
@@ -69,9 +66,6 @@ pub struct ScaleRecord {
     /// Cores visible to the run (`ws` cells use this as K).
     pub host_cpus: usize,
     pub cells: Vec<ScaleCell>,
-    /// Paper-scale `ws @ num_cpus` hops/sec over `fixed @ 4` hops/sec —
-    /// the scheduler-versus-static-split headline.
-    pub ws_over_fixed_paper: Option<f64>,
 }
 
 /// The world configuration behind a scale name.
@@ -84,16 +78,11 @@ pub fn world_for(scale: &str) -> WorldConfig {
     }
 }
 
-/// Measure one cell in-process: build the spec, run bounded Phase I under
-/// the requested shape, and derive throughput from the merged engine
+/// Measure one cell in-process: build the spec, run bounded Phase I on
+/// `workers` threads, and derive throughput from the merged engine
 /// counters (hops = events − endpoint deliveries, as in the pipeline
 /// bench).
-pub fn run_scale_cell(
-    scale: &str,
-    mode: &str,
-    workers: usize,
-    vp_slice: Option<usize>,
-) -> ScaleCell {
+pub fn run_scale_cell(scale: &str, workers: usize, vp_slice: Option<usize>) -> ScaleCell {
     let world = world_for(scale);
     let t0 = Instant::now();
     let spec = generate_spec(world);
@@ -103,21 +92,15 @@ pub fn run_scale_cell(
     let telemetry = TelemetryOptions::disabled();
     let sink = SinkConfig::streaming();
     let started = Instant::now();
-    let sharded = match mode {
-        "ws" => run_phase1_work_stealing_bounded(
-            &spec,
-            &config,
-            StealConfig::with_workers(workers),
-            telemetry,
-            None,
-            sink,
-            vp_slice,
-        ),
-        "fixed" => {
-            run_phase1_sharded_bounded(&spec, &config, workers, telemetry, None, sink, vp_slice)
-        }
-        other => panic!("unknown mode {other:?} (expected ws|fixed)"),
-    };
+    let sharded = run_phase1_work_stealing_bounded(
+        &spec,
+        &config,
+        StealConfig::with_workers(workers),
+        telemetry,
+        None,
+        sink,
+        vp_slice,
+    );
     let run = started.elapsed();
 
     let stats = sharded.stats;
@@ -126,7 +109,6 @@ pub fn run_scale_cell(
     let secs = run.as_secs_f64().max(1e-9);
     ScaleCell {
         scale: scale.to_string(),
-        mode: mode.to_string(),
         workers,
         vps: spec.platform.vps.len(),
         sites: spec.tranco.len(),

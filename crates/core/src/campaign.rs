@@ -137,22 +137,14 @@ pub struct Phase1Plan {
 pub struct CampaignRunner;
 
 impl CampaignRunner {
-    /// Run Phase I on `world` and harvest captures. Keeps the raw arrival
-    /// vector alongside the streamed aggregates (the legacy contract most
-    /// direct callers expect); use [`CampaignRunner::run_phase1_with`] with
-    /// [`SinkConfig::streaming`] to drop the buffering.
+    /// Run Phase I on `world` and harvest captures, keeping the raw
+    /// arrival vector alongside the streamed aggregates — the one-world
+    /// harness for tests and examples. Campaigns run through
+    /// [`crate::executor::run_phase1_work_stealing`], which takes a
+    /// [`SinkConfig`].
     pub fn run_phase1(world: &mut World, config: &Phase1Config) -> CampaignData {
-        Self::run_phase1_with(world, config, SinkConfig::retained())
-    }
-
-    /// [`CampaignRunner::run_phase1`] with an explicit sink configuration.
-    pub fn run_phase1_with(
-        world: &mut World,
-        config: &Phase1Config,
-        sink: SinkConfig,
-    ) -> CampaignData {
         let plan = Self::plan_phase1(world, config);
-        Self::execute_phase1(world, &plan, config, sink, |_| true)
+        Self::execute_phase1(world, &plan, config, SinkConfig::retained(), |_| true)
     }
 
     /// Compute the full Phase I schedule without posting anything.

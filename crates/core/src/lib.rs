@@ -38,10 +38,7 @@ pub use correlate::{
     UnsolicitedLabel,
 };
 pub use decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
-pub use executor::{
-    run_phase1_sharded, run_phase1_sharded_conditioned, run_phase1_sharded_sink,
-    run_phase2_sharded, run_phase2_sharded_sink, shard_vps, ShardedPhase1,
-};
+pub use executor::{shard_vps, ShardedPhase1};
 pub use ident::{DecoyIdent, IdentError};
 pub use noise::{NoiseFilter, PreflightOutcome};
 pub use phase2::{ObserverLocation, Phase2Config, Phase2Runner, TracerouteResult};

@@ -93,28 +93,18 @@ pub struct Phase2Plan {
 pub struct Phase2Runner;
 
 impl Phase2Runner {
-    /// Trace the given problematic paths. Returns per-path localization and
-    /// the Phase II campaign data (new decoys + their captures), which the
-    /// caller may absorb into the global data set.
+    /// Trace the given problematic paths on one world, keeping the raw
+    /// sweep arrivals. Returns per-path localization and the Phase II
+    /// campaign data (new decoys + their captures), which the caller may
+    /// absorb into the global data set. Campaigns sweep through
+    /// [`crate::executor::run_phase2_work_stealing`].
     pub fn run(
         world: &mut World,
         paths: &[PathKey],
         config: &Phase2Config,
     ) -> (Vec<TracerouteResult>, CampaignData) {
-        Self::run_with(world, paths, config, SinkConfig::retained())
-    }
-
-    /// [`Phase2Runner::run`] with an explicit sink configuration —
-    /// [`SinkConfig::streaming`] localizes from the capture-time
-    /// aggregates without ever buffering the sweep's arrivals.
-    pub fn run_with(
-        world: &mut World,
-        paths: &[PathKey],
-        config: &Phase2Config,
-        sink: SinkConfig,
-    ) -> (Vec<TracerouteResult>, CampaignData) {
         let plan = Self::plan(world, paths, config);
-        let data = Self::execute(world, &plan, config, sink, |_| true);
+        let data = Self::execute(world, &plan, config, SinkConfig::retained(), |_| true);
         let results = Self::localize(&data, &plan.traced, config.max_ttl);
         (results, data)
     }

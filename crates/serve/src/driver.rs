@@ -2,7 +2,7 @@
 //!
 //! A daemon run is `waves` bounded sub-campaigns ("waves") laid end to end
 //! on a simulated-time axis. Each wave is a complete
-//! [`Study::run_sharded`] over a derived per-wave seed: a fresh world, a
+//! [`Study::run_work_stealing`] over a derived per-wave seed: a fresh world, a
 //! fresh Phase I/II, its own streamed classification. The driver then
 //! folds the wave into cumulative state using only commutative operations
 //! — [`CorrelationAggregates::absorb`], [`MetricsSnapshot::merge`], and a
@@ -32,7 +32,7 @@ use crate::ServeError;
 use shadow_core::sink::CorrelationAggregates;
 use shadow_telemetry::{JournalRecord, MetricsSnapshot};
 use std::path::{Path, PathBuf};
-use traffic_shadowing::shadow_core::executor::TelemetryOptions;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 /// `z ^= golden; mix(z)` — the SplitMix64 step (Steele et al.), the same
@@ -65,7 +65,9 @@ pub struct ServeConfig {
     pub study: StudyConfig,
     /// Total waves in the campaign.
     pub waves: usize,
-    /// Worker threads per wave (`Study::run_sharded`'s K).
+    /// Execution shape per wave: K chunks drained by K worker threads
+    /// (`StealConfig::with_workers(k).with_chunks(k)`). Output is
+    /// invariant in K.
     pub shards: usize,
     /// Write a checkpoint here after every wave (`None`: never persist).
     pub checkpoint_path: Option<PathBuf>,
@@ -298,7 +300,8 @@ impl CampaignDriver {
         let wave = self.waves_done;
         let wave_seed = advance_streams(&mut self.rng_streams);
         let wave_config = self.config.wave_study_config(wave_seed);
-        let outcome = Study::run_sharded(wave_config, self.config.shards);
+        let steal = StealConfig::with_workers(self.config.shards).with_chunks(self.config.shards);
+        let outcome = Study::run_work_stealing(wave_config, steal);
 
         self.aggregates.absorb(outcome.phase1.aggregates.clone());
         if let Some(wave_metrics) = &outcome.metrics {

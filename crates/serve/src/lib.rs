@@ -7,7 +7,7 @@
 //!
 //! * **[`driver`]** — a wave-based campaign driver. The daemon's run is a
 //!   sequence of bounded, independent *waves*; wave *w* is a full
-//!   `Study::run_sharded` over a per-wave seed drawn from dedicated
+//!   `Study::run_work_stealing` over a per-wave seed drawn from dedicated
 //!   SplitMix64 streams, and its streamed aggregates, telemetry counters,
 //!   and journal fold commutatively into the cumulative state. Because
 //!   each wave is a pure function of `(base config, wave seed)` and every

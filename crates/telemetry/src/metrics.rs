@@ -442,7 +442,7 @@ impl WorldMetrics {
 }
 
 /// Run-shape diagnostics — per-shard and wall-clock data that is *expected*
-/// to differ between a sequential and a sharded run (and between hosts).
+/// to differ between execution shapes (and between hosts).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Number of per-shard registries merged into this snapshot.
@@ -459,6 +459,11 @@ pub struct RunMetrics {
     /// Time-Exceeded observations folded into router-graph builders,
     /// summed over shards (pre-dedup, so ≥ the merged graph's hop count).
     pub router_graph_edges: u64,
+    /// Per-phase (`phase1`, `phase2`) busy time in nanoseconds, **summed
+    /// over chunks** — each chunk adds its own elapsed time, so with more
+    /// than one worker this is CPU-side busy time, not critical-path wall
+    /// (e.g. 1.79 s of `phase1` inside a 1.31 s two-worker run). Recorded
+    /// on every telemetry-enabled run, one chunk included.
     pub phase_wall_ns: BTreeMap<String, u64>,
 }
 

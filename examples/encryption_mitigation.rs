@@ -17,29 +17,33 @@ use shadow_analysis::report::pct;
 use traffic_shadowing::shadow_analysis;
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 fn run(seed: u64, encrypted: bool) -> StudyOutcome {
-    Study::run(StudyConfig {
-        world: WorldConfig::standard(seed),
-        phase1: Phase1Config {
-            encryption: if encrypted {
-                EncryptionDeployment::full()
-            } else {
-                EncryptionDeployment::plaintext()
+    Study::run_work_stealing(
+        StudyConfig {
+            world: WorldConfig::standard(seed),
+            phase1: Phase1Config {
+                encryption: if encrypted {
+                    EncryptionDeployment::full()
+                } else {
+                    EncryptionDeployment::plaintext()
+                },
+                ..Phase1Config::default()
             },
-            ..Phase1Config::default()
+            phase2: Phase2Config::default(),
+            trace_cap_per_protocol: 0, // landscape comparison only
+            run_phase2: false,
+            telemetry: TelemetryOptions::disabled(),
+            faults: None,
+            retain_arrivals: true,
         },
-        phase2: Phase2Config::default(),
-        trace_cap_per_protocol: 0, // landscape comparison only
-        run_phase2: false,
-        telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
-        faults: None,
-        retain_arrivals: true,
-    })
+        StealConfig::with_workers(1),
+    )
 }
 
 fn main() {

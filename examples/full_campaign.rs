@@ -6,9 +6,10 @@
 //! Run with `cargo run --release --example full_campaign [seed] [--shards N]
 //! [--tiny] [--metrics-out PATH] [--journal PATH]`.
 //!
-//! `--shards N` executes the campaign across N worker threads (one world
-//! per shard, merged deterministically); the output is byte-identical to
-//! the sequential run for any N. `--metrics-out` writes the merged
+//! `--shards N` splits the campaign into N chunks drained by N worker
+//! threads (one world per chunk, one shared plan, merged in chunk order);
+//! the default is one chunk on one worker, and the output is
+//! byte-identical for any N. `--metrics-out` writes the merged
 //! telemetry snapshot as JSON (and prints a summary table); `--journal`
 //! writes the canonically sorted event journal as JSONL (compare runs
 //! with the `journal_diff` example). `--tiny` runs the small test world
@@ -328,10 +329,8 @@ fn main() {
         config.phase1.encryption = level.clone();
     }
     let started = std::time::Instant::now();
-    let outcome = match shards {
-        Some(k) => Study::run_sharded(config, k),
-        None => Study::run(config),
-    };
+    let k = shards.unwrap_or(1);
+    let outcome = Study::run_work_stealing(config, StealConfig::with_workers(k).with_chunks(k));
     match shards {
         Some(k) => println!(
             "=== full campaign (seed {seed}, {k} shards, {:?}) ===\n",
@@ -386,8 +385,9 @@ fn print_encryption_report(
 /// streamed end-to-end — arrivals fold into capture-time sinks and are
 /// never retained, so the sample-level tables (Figure 6 origins, probing
 /// payloads, case studies) are skipped; the aggregate report and telemetry
-/// artifacts still print. Without `--shards`, the work-stealing executor
-/// runs with one worker per available core and a single shared scout plan.
+/// artifacts still print. `--shards N` runs N chunks on N workers;
+/// without it, the executor runs one worker per available core (2× chunk
+/// oversubscription). Either way the plan is compiled once and shared.
 fn run_paper_scale(
     seed: u64,
     factor: u32,
@@ -417,10 +417,11 @@ fn run_paper_scale(
         world.tranco_sites,
     );
     let started = std::time::Instant::now();
-    let outcome = match shards {
-        Some(k) => Study::run_sharded(config, k),
-        None => Study::run_work_stealing(config, StealConfig::auto()),
+    let steal = match shards {
+        Some(k) => StealConfig::with_workers(k).with_chunks(k),
+        None => StealConfig::auto(),
     };
+    let outcome = Study::run_work_stealing(config, steal);
     match shards {
         Some(k) => println!(
             "=== paper-scale campaign (seed {seed}, factor {factor}, {k} shards, {:?}) ===\n",

@@ -1,6 +1,7 @@
 //! Quickstart: run a miniature end-to-end study and print the headline
 //! numbers. See `full_campaign.rs` for the paper-scale reproduction.
 
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::study::{Study, StudyConfig};
 
 fn main() {
@@ -10,9 +11,10 @@ fn main() {
         .unwrap_or(42);
     let started = std::time::Instant::now();
     // The default configuration streams: arrivals are classified at capture
-    // time into compact per-shard aggregates, and no raw arrival vector is
-    // retained anywhere.
-    let outcome = Study::run(StudyConfig::tiny(seed));
+    // time into compact per-chunk aggregates, and no raw arrival vector is
+    // retained anywhere. One chunk on one worker: on the tiny world a second
+    // chunk costs more in world setup than it saves.
+    let outcome = Study::run_work_stealing(StudyConfig::tiny(seed), StealConfig::with_workers(1));
     println!("=== traffic-shadowing quickstart (seed {seed}) ===\n");
     println!("{}", outcome.summary());
     println!("\nunsolicited requests by Decoy-Request combination:");

@@ -6,6 +6,7 @@
 use shadow_analysis::report::pct;
 use traffic_shadowing::shadow_analysis;
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::shadow_netsim::time::SimDuration;
@@ -33,12 +34,12 @@ fn main() {
         phase2: Phase2Config::default(),
         trace_cap_per_protocol: 10,
         run_phase2: false,
-        telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
+        telemetry: TelemetryOptions::disabled(),
         faults: None,
         // The case studies are sample-level analyses.
         retain_arrivals: true,
     };
-    let outcome = Study::run(config);
+    let outcome = Study::run_work_stealing(config, StealConfig::with_workers(1));
 
     println!("=== Case study I: Yandex ===");
     for name in ["Yandex", "One DNS", "DNS PAI", "VERCARA"] {

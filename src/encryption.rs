@@ -11,7 +11,7 @@ use crate::study::{Study, StudyConfig, StudyOutcome};
 use shadow_chaos::ScenarioMatrix;
 use shadow_core::campaign::Phase1Config;
 use shadow_core::decoy::DecoyProtocol;
-use shadow_core::executor::TelemetryOptions;
+use shadow_core::executor::{StealConfig, TelemetryOptions};
 use shadow_packet::EncryptionDeployment;
 
 pub use shadow_analysis::encryption::{EncryptionCell, EncryptionCellReport, EncryptionReport};
@@ -57,20 +57,21 @@ pub fn with_encryption(base: &StudyConfig, deployment: &EncryptionDeployment) ->
 }
 
 /// Run the ladder: one plaintext baseline campaign, then every level as a
-/// full sharded campaign, compared into an [`EncryptionReport`]. Faults
+/// full campaign, compared into an [`EncryptionReport`]. Faults
 /// (if `base` carries them) apply identically to every cell, so the
 /// encryption axis is measured under the same network conditions
 /// throughout. `parallelism` bounds concurrent cells; each cell fans out
-/// over `shards` worker threads.
+/// over `shards` chunks and worker threads.
 pub fn run_encryption_sweep(
     base: &StudyConfig,
     levels: &[EncryptionDeployment],
     shards: usize,
     parallelism: usize,
 ) -> EncryptionReport {
-    let baseline_outcome = Study::run_sharded(
+    let steal = StealConfig::with_workers(shards).with_chunks(shards);
+    let baseline_outcome = Study::run_work_stealing(
         with_encryption(base, &EncryptionDeployment::plaintext()),
-        shards,
+        steal,
     );
     let baseline = encryption_cell("plaintext", &baseline_outcome);
 
@@ -83,7 +84,7 @@ pub fn run_encryption_sweep(
         .run_with(parallelism, |cell| {
             // The grid cell carries the deployment; faults come from the
             // base config, not the placeholder template above.
-            let outcome = Study::run_sharded(with_encryption(base, &cell.encryption), shards);
+            let outcome = Study::run_work_stealing(with_encryption(base, &cell.encryption), steal);
             encryption_cell(&cell.encryption.level, &outcome)
         })
         .into_iter()

@@ -22,9 +22,11 @@
 //! The [`study`] module wires them into one call:
 //!
 //! ```no_run
+//! use traffic_shadowing::shadow_core::executor::StealConfig;
 //! use traffic_shadowing::study::{Study, StudyConfig};
 //!
-//! let outcome = Study::run(StudyConfig::tiny(42));
+//! // One chunk on one worker; `StealConfig::auto()` scales to the host.
+//! let outcome = Study::run_work_stealing(StudyConfig::tiny(42), StealConfig::with_workers(1));
 //! println!("{}", outcome.summary());
 //! ```
 

@@ -1,6 +1,6 @@
 //! Chaos-sweep glue: extract fault targets from a world spec, fold a
 //! study outcome into [`CellMetrics`], and drive a [`ScenarioMatrix`]
-//! through full sharded campaigns.
+//! through full campaigns.
 //!
 //! The layering intent: `shadow-chaos` owns fault *semantics* without
 //! knowing what a world is, `shadow-analysis` owns the robustness
@@ -11,6 +11,7 @@
 use crate::study::{Study, StudyConfig, StudyOutcome};
 use shadow_chaos::{FaultTargets, ScenarioMatrix};
 use shadow_core::decoy::DecoyProtocol;
+use shadow_core::executor::StealConfig;
 use shadow_core::world::{generate_spec, HostSpec, WorldSpec};
 
 // The comparison types live in `shadow-analysis`; this facade re-exports
@@ -73,28 +74,29 @@ pub fn cell_metrics(name: &str, outcome: &StudyOutcome) -> CellMetrics {
 }
 
 /// Run the matrix: one fault-free baseline campaign, then every cell as a
-/// full sharded campaign under its profile, compared into a
+/// full campaign under its profile, compared into a
 /// [`RobustnessReport`]. `parallelism` bounds concurrent *cells*; each
-/// cell additionally fans out over `shards` worker threads.
+/// cell additionally fans out over `shards` chunks and worker threads.
 pub fn run_matrix(
     base: &StudyConfig,
     matrix: &ScenarioMatrix,
     shards: usize,
     parallelism: usize,
 ) -> RobustnessReport {
-    let baseline_outcome = Study::run_sharded(
+    let steal = StealConfig::with_workers(shards).with_chunks(shards);
+    let baseline_outcome = Study::run_work_stealing(
         StudyConfig {
             faults: None,
             ..base.clone()
         },
-        shards,
+        steal,
     );
     let baseline = cell_metrics("baseline", &baseline_outcome);
 
     let cells = matrix
         .run_with(parallelism, |cell| {
             let config = base.clone().with_faults(cell.profile.clone());
-            let outcome = Study::run_sharded(config, shards);
+            let outcome = Study::run_work_stealing(config, steal);
             cell_metrics(&cell.name, &outcome)
         })
         .into_iter()

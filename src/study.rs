@@ -12,15 +12,14 @@ use shadow_analysis::probing::ProbingReport;
 use shadow_analysis::reuse::ReuseReport;
 use shadow_analysis::temporal::{interval_cdf, interval_histogram, Cdf};
 use shadow_chaos::FaultProfile;
-use shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
+use shadow_core::campaign::{CampaignData, Phase1Config};
 use shadow_core::correlate::{Combo, CorrelatedRequest, Correlator, PathKey};
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::executor::{
-    run_phase1_sharded_sink, run_phase1_work_stealing, run_phase2_sharded_sink,
-    run_phase2_work_stealing, ShardedPhase1, StealConfig, TelemetryOptions,
+    run_phase1_work_stealing, run_phase2_work_stealing, StealConfig, TelemetryOptions,
 };
-use shadow_core::noise::{NoiseFilter, PreflightOutcome};
-use shadow_core::phase2::{paths_to_trace_streamed, Phase2Config, Phase2Runner, TracerouteResult};
+use shadow_core::noise::PreflightOutcome;
+use shadow_core::phase2::{paths_to_trace_streamed, Phase2Config, TracerouteResult};
 use shadow_core::sink::{IntervalHistogram, SinkConfig};
 use shadow_core::world::{generate_spec, World, WorldConfig, WorldSpec};
 use shadow_dns::catalog::resolver_h;
@@ -222,108 +221,24 @@ pub struct StudyOutcome {
 pub struct Study;
 
 impl Study {
-    pub fn run(config: StudyConfig) -> StudyOutcome {
-        // `World::build` is `generate_spec(..).instantiate()`; going
-        // through the spec here keeps one copy around for compiling the
-        // fault profile against the world's node populations.
-        let spec = generate_spec(config.world.clone());
-        let conditioner = config.conditioner(&spec);
-        let mut world = spec.instantiate();
-        let preflight = NoiseFilter::run_and_apply(&mut world);
-        // Telemetry and faults start *after* the pre-flight, mirroring the
-        // sharded path (where the pre-flight replays in every shard and
-        // must not be counted K times, and vets the platform on a healthy
-        // network so the global plan survives impairment).
-        world.engine.set_telemetry(config.telemetry.handle(0));
-        world.engine.set_conditioner(conditioner);
-
-        let phase1_config = config.phase1_effective();
-        let mut phase1 = CampaignRunner::run_phase1_with(&mut world, &phase1_config, config.sink());
-        let correlated = if config.retain_arrivals {
-            Correlator::new(&phase1.registry).correlate(&phase1.arrivals)
-        } else {
-            Vec::new()
-        };
-
-        let (traced_paths, traceroutes, mut phase2_data) = if config.run_phase2 {
-            let traced = paths_to_trace_streamed(&phase1.aggregates, config.trace_cap_per_protocol);
-            let (results, data) = Phase2Runner::run_with(
-                &mut world,
-                &traced,
-                &config.phase2_effective(),
-                config.sink(),
-            );
-            (traced, results, Some(data))
-        } else {
-            (Vec::new(), Vec::new(), None)
-        };
-        let (metrics, journal) =
-            finalize_telemetry(&config, &mut phase1, phase2_data.as_mut(), &correlated);
-
-        let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
-        for dest in &world.dns_destinations {
-            dest_names.insert(dest.addr, dest.dest.name.to_string());
-        }
-        for site in &world.tranco {
-            dest_names.insert(site.addr, format!("site:{}", site.country));
-        }
-
-        let blocklist = Blocklist::from_addrs(world.ground_truth.blocklisted_addrs.iter().copied());
-        let mut port_scanner = PortScanner::new();
-        for addr in &world.ground_truth.bgp_speaking_observers {
-            port_scanner.set_open(*addr, 179);
-        }
-        let router_graph = finalize_router_graph(phase2_data.as_ref(), &world);
-
-        StudyOutcome {
-            world,
-            preflight,
-            phase1,
-            phase2: phase2_data,
-            correlated,
-            retained: config.retain_arrivals,
-            traced_paths,
-            traceroutes,
-            router_graph,
-            dest_names,
-            blocklist,
-            port_scanner,
-            metrics,
-            journal,
-        }
-    }
-
-    /// [`Study::run`], executed across `shards` worker threads (one
-    /// private world per shard, VPs partitioned round-robin). Produces
-    /// byte-identical output to the sequential path for any shard count —
-    /// `tests/sharded_equivalence.rs` enforces this on the exported
-    /// analysis bundle.
-    pub fn run_sharded(config: StudyConfig, shards: usize) -> StudyOutcome {
-        let spec = generate_spec(config.world.clone());
-        let phase1_config = config.phase1_effective();
-        let sharded = run_phase1_sharded_sink(
-            &spec,
-            &phase1_config,
-            shards,
-            config.telemetry,
-            config.conditioner(&spec),
-            config.sink(),
-        );
-        Self::assemble_sharded(config, sharded, None)
-    }
-
-    /// [`Study::run`] under the work-stealing scheduler: VPs split into
-    /// [`StealConfig::chunks`] work units drained by
+    /// Run the whole study on the chunked work-stealing executor: VPs
+    /// split into [`StealConfig::chunks`] work units drained by
     /// [`StealConfig::workers`] threads, with the global plan computed
-    /// once and shared. Byte-identical to [`Study::run`] and
-    /// [`Study::run_sharded`] for any execution shape (enforced by
-    /// `tests/sharded_equivalence.rs`); this is the path that scales to
-    /// core count on skewed worlds, and the one `--paper-scale` campaigns
-    /// should use.
+    /// once and shared. A sequential run is
+    /// `StealConfig::with_workers(1)` (one chunk, one worker); "K shards"
+    /// is `StealConfig::with_workers(k).with_chunks(k)`. Output is
+    /// byte-identical for every execution shape
+    /// (`tests/sharded_equivalence.rs`) and pinned by
+    /// `tests/golden_bundles.rs`.
+    ///
+    /// Telemetry and faults start *after* each chunk's pre-flight replay:
+    /// the pre-flight must not be counted once per chunk, and it vets the
+    /// platform on a healthy network so the global plan survives
+    /// impairment.
     pub fn run_work_stealing(config: StudyConfig, steal: StealConfig) -> StudyOutcome {
         let spec = generate_spec(config.world.clone());
         let phase1_config = config.phase1_effective();
-        let sharded = run_phase1_work_stealing(
+        let mut sharded = run_phase1_work_stealing(
             &spec,
             &phase1_config,
             steal,
@@ -331,18 +246,6 @@ impl Study {
             config.conditioner(&spec),
             config.sink(),
         );
-        Self::assemble_sharded(config, sharded, Some(steal.workers))
-    }
-
-    /// Shared continuation for the sharded execution paths: correlation,
-    /// Phase II over the kept chunk worlds (work-stealing when
-    /// `steal_workers` is set, one-thread-per-shard otherwise), telemetry
-    /// finalization, and the analysis inputs.
-    fn assemble_sharded(
-        config: StudyConfig,
-        mut sharded: ShardedPhase1,
-        steal_workers: Option<usize>,
-    ) -> StudyOutcome {
         let mut phase1 = sharded.data;
         let preflight = sharded.preflight;
         let correlated = if config.retain_arrivals {
@@ -353,23 +256,14 @@ impl Study {
 
         let (traced_paths, traceroutes, mut phase2_data) = if config.run_phase2 {
             let traced = paths_to_trace_streamed(&phase1.aggregates, config.trace_cap_per_protocol);
-            let (results, data) = match steal_workers {
-                Some(workers) => run_phase2_work_stealing(
-                    &mut sharded.worlds,
-                    &sharded.assignment,
-                    &traced,
-                    &config.phase2_effective(),
-                    workers,
-                    config.sink(),
-                ),
-                None => run_phase2_sharded_sink(
-                    &mut sharded.worlds,
-                    &sharded.assignment,
-                    &traced,
-                    &config.phase2_effective(),
-                    config.sink(),
-                ),
-            };
+            let (results, data) = run_phase2_work_stealing(
+                &mut sharded.worlds,
+                &sharded.assignment,
+                &traced,
+                &config.phase2_effective(),
+                steal.workers,
+                config.sink(),
+            );
             (traced, results, Some(data))
         } else {
             (Vec::new(), Vec::new(), None)
@@ -377,9 +271,9 @@ impl Study {
         let (metrics, journal) =
             finalize_telemetry(&config, &mut phase1, phase2_data.as_mut(), &correlated);
 
-        // Shard 0's world carries the analysis inputs: platform vetting,
+        // Chunk 0's world carries the analysis inputs: platform vetting,
         // destinations, and ground truth are spec data, identical in every
-        // shard and in the sequential run.
+        // chunk.
         let world = sharded.worlds.swap_remove(0);
 
         let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
@@ -417,9 +311,9 @@ impl Study {
 }
 
 /// Finalize the Phase II router-graph builder against the world's geo
-/// database. The builder's per-shard folds are commutative and each probe
-/// path is wholly owned by one shard, so the merged builder — and hence
-/// the finalized graph — is identical for any shard count.
+/// database. The builder's per-chunk folds are commutative and each probe
+/// path is wholly owned by one chunk, so the merged builder — and hence
+/// the finalized graph — is identical for any chunk count.
 fn finalize_router_graph(phase2: Option<&CampaignData>, world: &World) -> shadow_topo::RouterGraph {
     phase2
         .map(|data| {
@@ -433,7 +327,7 @@ fn finalize_router_graph(phase2: Option<&CampaignData>, world: &World) -> shadow
 /// the capture-time classification in: the Phase I sink aggregates supply
 /// the `unsolicited_by_rule` map and retention-interval histogram (the sink
 /// folds every classified arrival, so this matches the old post-hoc
-/// correlation pass byte for byte, for any shard count). When journaling in
+/// correlation pass byte for byte, for any chunk count). When journaling in
 /// retained mode, every unsolicited correlated arrival additionally gets an
 /// [`UnsolicitedArrival`](shadow_telemetry::EventKind::UnsolicitedArrival)
 /// record; the streaming path already journaled per-arrival
@@ -453,7 +347,7 @@ fn finalize_telemetry(
     let mut metrics = std::mem::take(&mut phase1.metrics);
     let mut journal = std::mem::take(&mut phase1.journal);
     if let Some(p2) = phase2 {
-        // Both phases ran on the same shard set; keep the shard count
+        // Both phases ran on the same chunk set; keep the shard count
         // instead of summing it across phases.
         let shards = metrics.run.shards.max(p2.metrics.run.shards);
         metrics.merge(&std::mem::take(&mut p2.metrics));
@@ -501,7 +395,7 @@ impl StudyOutcome {
     /// Figure 3 — read from the streamed aggregates, available in both
     /// retained and streaming modes.
     pub fn landscape(&self) -> LandscapeReport {
-        LandscapeReport::compute_streamed(
+        LandscapeReport::compute(
             &self.phase1.registry,
             &self.phase1.aggregates,
             &self.world.platform,
@@ -573,7 +467,7 @@ impl StudyOutcome {
     /// Figure 5 — decoded from the per-decoy outcome bits the sink folded
     /// at capture time.
     pub fn fig5_breakdown(&self) -> Vec<DestinationBreakdown> {
-        breakdown::compute_streamed(
+        breakdown::compute(
             &self.phase1.registry,
             &self.phase1.aggregates,
             &self.dest_names,
@@ -650,7 +544,7 @@ impl StudyOutcome {
     /// §5.2 protocol combinations per observer network — from the sink's
     /// per-path counters.
     pub fn observer_combos(&self) -> shadow_analysis::combos::ObserverCombos {
-        shadow_analysis::combos::ObserverCombos::compute_streamed(
+        shadow_analysis::combos::ObserverCombos::compute(
             &self.phase1.aggregates,
             &self.traceroutes,
             &self.world.geo,
@@ -660,7 +554,7 @@ impl StudyOutcome {
     /// Overall Decoy-Request combination counts, keyed by the typed
     /// [`Combo`] (its `Display` is the paper's `DNS-HTTP` style label).
     pub fn combo_counts(&self) -> std::collections::BTreeMap<Combo, usize> {
-        shadow_analysis::combos::combo_counts_streamed(&self.phase1.aggregates)
+        shadow_analysis::combos::combo_counts(&self.phase1.aggregates)
     }
 
     /// §5.2 open-port scan of ICMP-revealed observers.

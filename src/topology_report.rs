@@ -11,6 +11,7 @@
 use crate::study::{Study, StudyConfig, StudyOutcome};
 use shadow_analysis::crossval::{CrossValCell, CrossValReport, TopoGroundTruth};
 use shadow_chaos::{FaultProfile, ScenarioMatrix};
+use shadow_core::executor::StealConfig;
 use shadow_netsim::NodeId;
 use std::net::Ipv4Addr;
 
@@ -76,11 +77,11 @@ pub fn score_outcome(name: &str, icmp_rate_limit: f64, outcome: &StudyOutcome) -
     )
 }
 
-/// Run the ICMP-coverage sweep: one full sharded campaign per suppression
+/// Run the ICMP-coverage sweep: one full campaign per suppression
 /// level (cells differ *only* in `icmp_rate_limit`; all share
 /// `fault_seed`), each scored against its own world's ground truth.
 /// `parallelism` bounds concurrent cells; each cell fans out over
-/// `shards` worker threads.
+/// `shards` chunks and worker threads.
 pub fn run_icmp_sweep(
     base: &StudyConfig,
     levels: &[f64],
@@ -90,10 +91,11 @@ pub fn run_icmp_sweep(
 ) -> CrossValReport {
     let template = FaultProfile::baseline("icmp");
     let matrix = ScenarioMatrix::icmp_grid(levels, fault_seed, &template);
+    let steal = StealConfig::with_workers(shards).with_chunks(shards);
     let cells = matrix
         .run_with(parallelism, |cell| {
             let config = base.clone().with_faults(cell.profile.clone());
-            let outcome = Study::run_sharded(config, shards);
+            let outcome = Study::run_work_stealing(config, steal);
             score_outcome(&cell.name, cell.profile.icmp_rate_limit, &outcome)
         })
         .into_iter()
@@ -108,7 +110,7 @@ mod tests {
 
     #[test]
     fn ground_truth_covers_traced_paths() {
-        let outcome = Study::run(StudyConfig::tiny(7));
+        let outcome = Study::run_work_stealing(StudyConfig::tiny(7), StealConfig::with_workers(1));
         assert!(!outcome.traced_paths.is_empty());
         let truth = ground_truth(&outcome);
         assert!(!truth.routers.is_empty());
@@ -123,7 +125,7 @@ mod tests {
 
     #[test]
     fn baseline_cell_scores_high_recall() {
-        let outcome = Study::run(StudyConfig::tiny(7));
+        let outcome = Study::run_work_stealing(StudyConfig::tiny(7), StealConfig::with_workers(1));
         let cell = score_outcome("icmp0%", 0.0, &outcome);
         assert_eq!(cell.router_precision(), 1.0);
         assert!(cell.router_recall() > 0.0);

@@ -1,9 +1,9 @@
 //! Fault injection must not cost the simulator its headline guarantee:
 //! a fixed `(WorldConfig, FaultProfile, seed)` triple produces
-//! byte-identical output — run twice, run sequentially, or run across any
-//! shard count. Every fault decision is value-derived from packet bytes,
-//! so shards that each see only a subset of the traffic still agree with
-//! the sequential run packet-for-packet.
+//! byte-identical output — run twice, or run at any execution shape.
+//! Every fault decision is value-derived from packet bytes, so chunks that
+//! each see only a subset of the traffic still agree with the one-chunk
+//! run packet-for-packet.
 //!
 //! Also pins the boundary profiles: total loss delivers nothing, and a
 //! compiled-but-impairment-free profile is indistinguishable from running
@@ -20,6 +20,11 @@ fn num_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// One chunk on one worker: the reference shape.
+fn run(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
 }
 
 fn bundle_json(outcome: &StudyOutcome) -> String {
@@ -67,48 +72,20 @@ fn config_with(profile: FaultProfile) -> StudyConfig {
 
 #[test]
 fn same_profile_same_seed_is_byte_identical() {
-    let a = Study::run(config_with(rich_profile()));
-    let b = Study::run(config_with(rich_profile()));
+    let a = run(config_with(rich_profile()));
+    let b = run(config_with(rich_profile()));
     assert_eq!(a.phase1.arrivals, b.phase1.arrivals);
     assert_eq!(a.traceroutes, b.traceroutes);
     assert_eq!(bundle_json(&a), bundle_json(&b));
 }
 
-#[test]
-fn sharded_equivalence_survives_faults() {
-    let sequential = Study::run(config_with(rich_profile()));
+/// The conditioner's decisions are value-derived from packet bytes, so
+/// neither the chunk count nor nondeterministic chunk→thread placement may
+/// change which packets suffer.
+fn assert_shapes_survive_faults(shapes: &[StealConfig]) {
+    let sequential = run(config_with(rich_profile()));
     let expected = bundle_json(&sequential);
-    for k in [1usize, 3, 7, num_cpus()] {
-        let sharded = Study::run_sharded(config_with(rich_profile()), k);
-        assert_eq!(
-            sequential.phase1.arrivals, sharded.phase1.arrivals,
-            "K={k}: Phase I arrival streams diverge under faults"
-        );
-        assert_eq!(
-            sequential.traceroutes, sharded.traceroutes,
-            "K={k}: Phase II traceroutes diverge under faults"
-        );
-        assert_eq!(
-            expected,
-            bundle_json(&sharded),
-            "K={k}: exported analysis bundles diverge under faults"
-        );
-    }
-}
-
-#[test]
-fn work_stealing_equivalence_survives_faults() {
-    // The conditioner's decisions are value-derived from packet bytes, so
-    // nondeterministic chunk→thread placement must not change which
-    // packets suffer. Shapes mirror tests/sharded_equivalence.rs.
-    let sequential = Study::run(config_with(rich_profile()));
-    let expected = bundle_json(&sequential);
-    let shapes = [
-        StealConfig::with_workers(1),
-        StealConfig::with_workers(2).with_chunks(7),
-        StealConfig::auto(),
-    ];
-    for shape in shapes {
+    for &shape in shapes {
         let stolen = Study::run_work_stealing(config_with(rich_profile()), shape);
         assert_eq!(
             sequential.phase1.arrivals, stolen.phase1.arrivals,
@@ -127,9 +104,25 @@ fn work_stealing_equivalence_survives_faults() {
 }
 
 #[test]
+fn sharded_equivalence_survives_faults() {
+    // K chunks on K workers, as in tests/sharded_equivalence.rs.
+    assert_shapes_survive_faults(
+        &[3, 7, num_cpus()].map(|k| StealConfig::with_workers(k).with_chunks(k)),
+    );
+}
+
+#[test]
+fn work_stealing_equivalence_survives_faults() {
+    assert_shapes_survive_faults(&[
+        StealConfig::with_workers(2).with_chunks(7),
+        StealConfig::auto(),
+    ]);
+}
+
+#[test]
 fn fault_seed_changes_which_packets_suffer() {
-    let a = Study::run(config_with(FaultProfile::with_loss("l", 0.05, 1)));
-    let b = Study::run(config_with(FaultProfile::with_loss("l", 0.05, 2)));
+    let a = run(config_with(FaultProfile::with_loss("l", 0.05, 1)));
+    let b = run(config_with(FaultProfile::with_loss("l", 0.05, 2)));
     assert_ne!(
         a.phase1.arrivals, b.phase1.arrivals,
         "different fault seeds must impair different packets"
@@ -144,7 +137,7 @@ proptest! {
     #[test]
     fn total_loss_delivers_nothing(seed in 1u64..1_000) {
         let profile = FaultProfile::with_loss("blackout", 1.0, seed);
-        let outcome = Study::run(config_with(profile));
+        let outcome = run(config_with(profile));
         prop_assert!(outcome.phase1.arrivals.is_empty());
         prop_assert!(outcome.correlated.is_empty());
         prop_assert!(outcome.traceroutes.iter().all(|r| r.normalized_hop.is_none()));
@@ -156,8 +149,8 @@ proptest! {
     fn fault_free_profile_matches_no_profile(seed in 1u64..1_000) {
         let mut clean = FaultProfile::baseline("clean");
         clean.fault_seed = seed;
-        let with_profile = Study::run(config_with(clean));
-        let without = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
+        let with_profile = run(config_with(clean));
+        let without = run(StudyConfig::tiny(SEED).with_retained_arrivals());
         prop_assert_eq!(&with_profile.phase1.arrivals, &without.phase1.arrivals);
         prop_assert_eq!(bundle_json(&with_profile), bundle_json(&without));
     }

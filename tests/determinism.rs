@@ -2,7 +2,13 @@
 //! campaign results; different seeds must actually differ.
 
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+
+/// One chunk on one worker.
+fn run(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
+}
 
 fn fingerprint(outcome: &StudyOutcome) -> String {
     let landscape = outcome.landscape();
@@ -30,8 +36,8 @@ fn fingerprint(outcome: &StudyOutcome) -> String {
 #[test]
 fn same_seed_same_outcome() {
     // Retained mode so the exact arrival stream is comparable.
-    let a = Study::run(StudyConfig::tiny(99).with_retained_arrivals());
-    let b = Study::run(StudyConfig::tiny(99).with_retained_arrivals());
+    let a = run(StudyConfig::tiny(99).with_retained_arrivals());
+    let b = run(StudyConfig::tiny(99).with_retained_arrivals());
     assert_eq!(fingerprint(&a), fingerprint(&b));
     // Down to the exact arrival stream and streamed aggregates.
     assert_eq!(a.phase1.arrivals, b.phase1.arrivals);
@@ -42,8 +48,8 @@ fn same_seed_same_outcome() {
 #[test]
 fn different_seeds_differ() {
     // Streaming default: the capture-time aggregates carry the traffic.
-    let a = Study::run(StudyConfig::tiny(100));
-    let b = Study::run(StudyConfig::tiny(101));
+    let a = run(StudyConfig::tiny(100));
+    let b = run(StudyConfig::tiny(101));
     assert_ne!(
         a.phase1.aggregates, b.phase1.aggregates,
         "different seeds must produce different traffic"

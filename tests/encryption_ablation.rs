@@ -3,13 +3,14 @@
 
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 fn run(seed: u64, encrypted: bool) -> StudyOutcome {
-    Study::run(StudyConfig {
+    let config = StudyConfig {
         world: WorldConfig::tiny(seed),
         phase1: Phase1Config {
             encryption: if encrypted {
@@ -22,11 +23,12 @@ fn run(seed: u64, encrypted: bool) -> StudyOutcome {
         phase2: Phase2Config::default(),
         trace_cap_per_protocol: 0,
         run_phase2: false,
-        telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
+        telemetry: TelemetryOptions::disabled(),
         faults: None,
         // `encrypted_queries_still_resolve` inspects raw arrivals.
         retain_arrivals: true,
-    })
+    };
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
 }
 
 #[test]
@@ -75,8 +77,8 @@ fn encrypted_flow_telemetry_counts_once() {
     // hidden flow twice (or journals one it never counted).
     let mut config = StudyConfig::tiny(2_026);
     config.phase1.encryption = EncryptionDeployment::full();
-    config.telemetry = traffic_shadowing::shadow_core::executor::TelemetryOptions::enabled(true);
-    let outcome = Study::run(config);
+    config.telemetry = TelemetryOptions::enabled(true);
+    let outcome = Study::run_work_stealing(config, StealConfig::with_workers(1));
 
     let metrics = outcome.metrics.as_ref().expect("metrics enabled");
     let journal = outcome.journal.as_ref().expect("journal enabled");

@@ -1,5 +1,5 @@
 //! The encryption axis must not disturb the executor's headline guarantee:
-//! for any execution shape — sequential, sharded at any K, work-stealing —
+//! for any execution shape — one chunk, K chunks × K workers, stealing —
 //! the same `(seed, deployment, faults)` triple produces **byte-identical**
 //! analysis output, at plaintext AND at full encryption, with and without
 //! fault injection.
@@ -8,7 +8,7 @@
 //! the transport-profile refactor (the pre-PR-10 equivalence suite keeps
 //! passing), and (b) the encrypted path — profile hashing, encrypted
 //! resolver termination, hidden-flow telemetry, the Phase-I recall window
-//! — introduces no shard-count- or scheduler-dependent state.
+//! — introduces no chunk-count- or scheduler-dependent state.
 
 use traffic_shadowing::shadow_chaos::FaultProfile;
 use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
@@ -57,30 +57,34 @@ fn levels() -> [EncryptionDeployment; 2] {
     ]
 }
 
-#[test]
-fn sharded_matches_sequential_at_both_extremes() {
+/// One chunk on one worker: the reference shape.
+fn run(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
+}
+
+fn assert_shapes_match_reference(shapes: &[StealConfig]) {
     for deployment in levels() {
         for with_faults in [false, true] {
-            let sequential = Study::run(config(&deployment, with_faults));
+            let sequential = run(config(&deployment, with_faults));
             let expected = bundle_json(&sequential);
             let expected_world = sequential.metrics.as_ref().map(|m| m.world.clone());
-            for k in [1usize, 4] {
-                let sharded = Study::run_sharded(config(&deployment, with_faults), k);
+            for &shape in shapes {
+                let stolen = Study::run_work_stealing(config(&deployment, with_faults), shape);
                 assert_eq!(
-                    sequential.phase1.aggregates, sharded.phase1.aggregates,
-                    "{} faults={with_faults} K={k}: aggregates diverge",
+                    sequential.phase1.aggregates, stolen.phase1.aggregates,
+                    "{} faults={with_faults} {shape:?}: aggregates diverge",
                     deployment.level
                 );
                 assert_eq!(
                     expected_world,
-                    sharded.metrics.as_ref().map(|m| m.world.clone()),
-                    "{} faults={with_faults} K={k}: world metrics diverge",
+                    stolen.metrics.as_ref().map(|m| m.world.clone()),
+                    "{} faults={with_faults} {shape:?}: world metrics diverge",
                     deployment.level
                 );
                 assert_eq!(
                     expected,
-                    bundle_json(&sharded),
-                    "{} faults={with_faults} K={k}: bundles diverge",
+                    bundle_json(&stolen),
+                    "{} faults={with_faults} {shape:?}: bundles diverge",
                     deployment.level
                 );
             }
@@ -89,39 +93,22 @@ fn sharded_matches_sequential_at_both_extremes() {
 }
 
 #[test]
+fn sharded_matches_sequential_at_both_extremes() {
+    // Four shards: four chunks on four workers.
+    assert_shapes_match_reference(&[StealConfig::with_workers(4).with_chunks(4)]);
+}
+
+#[test]
 fn work_stealing_matches_sequential_at_both_extremes() {
-    let shape = StealConfig::with_workers(2).with_chunks(5);
-    for deployment in levels() {
-        for with_faults in [false, true] {
-            let sequential = Study::run(config(&deployment, with_faults));
-            let stolen = Study::run_work_stealing(config(&deployment, with_faults), shape);
-            assert_eq!(
-                sequential.phase1.aggregates, stolen.phase1.aggregates,
-                "{} faults={with_faults} {shape:?}: aggregates diverge",
-                deployment.level
-            );
-            assert_eq!(
-                sequential.metrics.as_ref().map(|m| m.world.clone()),
-                stolen.metrics.as_ref().map(|m| m.world.clone()),
-                "{} faults={with_faults} {shape:?}: world metrics diverge",
-                deployment.level
-            );
-            assert_eq!(
-                bundle_json(&sequential),
-                bundle_json(&stolen),
-                "{} faults={with_faults} {shape:?}: bundles diverge",
-                deployment.level
-            );
-        }
-    }
+    assert_shapes_match_reference(&[StealConfig::with_workers(2).with_chunks(5)]);
 }
 
 #[test]
 fn deployment_levels_actually_differ() {
     // Guard against the matrix silently collapsing: plaintext and full
     // encryption must not produce identical wire telemetry.
-    let plain = Study::run(config(&EncryptionDeployment::plaintext(), false));
-    let full = Study::run(config(&EncryptionDeployment::full(), false));
+    let plain = run(config(&EncryptionDeployment::plaintext(), false));
+    let full = run(config(&EncryptionDeployment::full(), false));
     let wire = |o: &StudyOutcome| {
         o.metrics
             .as_ref()

@@ -1,12 +1,12 @@
 //! Event-journal determinism.
 //!
-//! 1. Re-running the same seed + shard count reproduces a **byte-identical**
+//! 1. Re-running the same seed + chunk count reproduces a **byte-identical**
 //!    serialized journal (the canonical sort makes merge order irrelevant).
-//! 2. Journals from different shard counts align under `journal diff`'s
+//! 2. Journals from different chunk counts align under `journal diff`'s
 //!    total event key order: the same world events occur at the same
 //!    sim-times regardless of how the VPs were partitioned.
 
-use traffic_shadowing::shadow_core::executor::TelemetryOptions;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_telemetry::{diff, from_jsonl, to_jsonl, JournalRecord};
 use traffic_shadowing::study::{Study, StudyConfig};
 
@@ -19,23 +19,23 @@ fn config() -> StudyConfig {
     }
 }
 
-fn journal_of(shards: Option<usize>) -> Vec<JournalRecord> {
-    let outcome = match shards {
-        Some(k) => Study::run_sharded(config(), k),
-        None => Study::run(config()),
-    };
-    outcome.journal.expect("journal enabled")
+/// The journal of a K-chunk × K-worker run.
+fn journal_of(k: usize) -> Vec<JournalRecord> {
+    let shape = StealConfig::with_workers(k).with_chunks(k);
+    Study::run_work_stealing(config(), shape)
+        .journal
+        .expect("journal enabled")
 }
 
 #[test]
 fn same_seed_and_shard_count_reproduce_identical_journals() {
-    for shards in [None, Some(2)] {
+    for shards in [1, 2] {
         let first = to_jsonl(&journal_of(shards)).expect("serializes");
         let second = to_jsonl(&journal_of(shards)).expect("serializes");
         assert!(!first.is_empty(), "journal must record events");
         assert_eq!(
             first, second,
-            "shards {shards:?}: repeated runs must serialize byte-identically"
+            "K={shards}: repeated runs must serialize byte-identically"
         );
         // And the serialization round-trips.
         let reparsed = from_jsonl(&first).expect("parses");
@@ -45,9 +45,9 @@ fn same_seed_and_shard_count_reproduce_identical_journals() {
 
 #[test]
 fn journals_align_across_shard_counts() {
-    let sequential = journal_of(None);
-    for k in [1usize, 2, 7] {
-        let sharded = journal_of(Some(k));
+    let sequential = journal_of(1);
+    for k in [2usize, 7] {
+        let sharded = journal_of(k);
         let report = diff(&sequential, &sharded);
         assert!(
             report.identical(),
@@ -60,11 +60,14 @@ fn journals_align_across_shard_counts() {
 
 #[test]
 fn different_seeds_produce_different_journals() {
-    let a = journal_of(None);
-    let outcome = Study::run(StudyConfig {
-        telemetry: TelemetryOptions::enabled(true),
-        ..StudyConfig::tiny(SEED + 1)
-    });
+    let a = journal_of(1);
+    let outcome = Study::run_work_stealing(
+        StudyConfig {
+            telemetry: TelemetryOptions::enabled(true),
+            ..StudyConfig::tiny(SEED + 1)
+        },
+        StealConfig::with_workers(1),
+    );
     let b = outcome.journal.expect("journal enabled");
     let report = diff(&a, &b);
     assert!(

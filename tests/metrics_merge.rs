@@ -3,15 +3,21 @@
 //! 1. [`MetricsSnapshot::merge`] is commutative and associative, so
 //!    absorbing per-shard snapshots in any completion order yields the
 //!    same artifact.
-//! 2. For a fixed seed, the **world** section of a sharded run's merged
-//!    snapshot equals the sequential run's — the telemetry analogue of
+//! 2. For a fixed seed, the **world** section of a K-chunk run's merged
+//!    snapshot equals the one-chunk run's — the telemetry analogue of
 //!    the byte-identical analysis bundle. (The **run** section is shape
 //!    diagnostics — shard count, per-shard event totals, wall-clock — and
 //!    is excluded: it legitimately differs between shard counts.)
+//! 3. Every run, one chunk included, records both phases' walls.
 
-use traffic_shadowing::shadow_core::executor::TelemetryOptions;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_telemetry::{MetricsRegistry, MetricsSnapshot};
-use traffic_shadowing::study::{Study, StudyConfig};
+use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+
+/// One chunk on one worker: the reference shape.
+fn run(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
+}
 
 /// Build K synthetic per-shard snapshots with distinct, seeded counter
 /// loads (a tiny LCG keeps the test deterministic without `rand`).
@@ -90,12 +96,13 @@ fn sharded_world_metrics_equal_sequential() {
             telemetry: TelemetryOptions::enabled(false),
             ..StudyConfig::tiny(seed)
         };
-        let sequential = Study::run(config());
+        let sequential = run(config());
         let expected = sequential.metrics.as_ref().expect("metrics enabled");
         assert!(!expected.is_empty(), "sequential run recorded nothing");
         assert_eq!(expected.run.shards, 1);
-        for k in [1usize, 2, 4, 7] {
-            let sharded = Study::run_sharded(config(), k);
+        for k in [2usize, 4, 7] {
+            let shape = StealConfig::with_workers(k).with_chunks(k);
+            let sharded = Study::run_work_stealing(config(), shape);
             let merged = sharded.metrics.as_ref().expect("metrics enabled");
             assert_eq!(
                 expected.world, merged.world,
@@ -113,8 +120,29 @@ fn sharded_world_metrics_equal_sequential() {
 }
 
 #[test]
+fn one_chunk_run_records_both_phase_walls() {
+    let outcome = run(StudyConfig {
+        telemetry: TelemetryOptions::enabled(false),
+        ..StudyConfig::tiny(99)
+    });
+    let metrics = outcome.metrics.as_ref().expect("metrics enabled");
+    assert_eq!(metrics.run.shards, 1);
+    for phase in ["phase1", "phase2"] {
+        assert!(
+            metrics
+                .run
+                .phase_wall_ns
+                .get(phase)
+                .is_some_and(|&ns| ns > 0),
+            "one-chunk run recorded no {phase} wall: {:?}",
+            metrics.run.phase_wall_ns
+        );
+    }
+}
+
+#[test]
 fn disabled_telemetry_reports_nothing() {
-    let outcome = Study::run(StudyConfig::tiny(99));
+    let outcome = run(StudyConfig::tiny(99));
     assert!(outcome.metrics.is_none());
     assert!(outcome.journal.is_none());
 }

@@ -1,15 +1,16 @@
 //! End-to-end daemon test over a real loopback socket: start
 //! `shadow-serve` on an ephemeral port, hammer `/api/aggregates` from
 //! many concurrent readers while the campaign runs, and assert the final
-//! served snapshot is **byte-identical** to the batch
-//! `Study::run_sharded` result — the acceptance bar for "the daemon is
-//! the batch pipeline, continuously".
+//! served snapshot is **byte-identical** to the batch one-chunk
+//! `Study::run_work_stealing` result — the acceptance bar for "the daemon
+//! is the batch pipeline, continuously".
 
 use shadow_serve::client::{http_get, sse_collect};
 use shadow_serve::{serve, CampaignDriver, ServeConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::shadow_core::sink::CorrelationAggregates;
 use traffic_shadowing::study::Study;
 
@@ -17,12 +18,16 @@ const SEED: u64 = 90_210;
 const READERS: usize = 8;
 
 /// What the daemon *should* serve after every wave completes: the
-/// commutative absorb of each wave's batch `Study::run_sharded`
-/// aggregates, rendered exactly as `/api/aggregates` renders.
+/// commutative absorb of each wave's batch aggregates, run as one chunk
+/// on one worker whatever `config.shards` is (output is K-invariant), and
+/// rendered exactly as `/api/aggregates` renders.
 fn expected_aggregates_json(config: &ServeConfig) -> String {
     let mut cumulative = CorrelationAggregates::default();
     for wave_seed in config.wave_seeds() {
-        let outcome = Study::run_sharded(config.wave_study_config(wave_seed), config.shards);
+        let outcome = Study::run_work_stealing(
+            config.wave_study_config(wave_seed),
+            StealConfig::with_workers(1),
+        );
         cumulative.absorb(outcome.phase1.aggregates);
     }
     serde_json::to_string_pretty(&cumulative.to_portable()).expect("renders")

@@ -1,8 +1,8 @@
 //! The streaming pipeline's headline guarantee: classifying every arrival
-//! at capture time and folding into per-shard aggregates produces
-//! **byte-identical** analysis output to the retained batch path — for any
-//! shard count, with or without fault injection — while the default path
-//! retains no raw arrival vector at all.
+//! at capture time and folding into per-chunk aggregates produces
+//! **byte-identical** analysis output to the retained batch path — at any
+//! execution shape, with or without fault injection — while the default
+//! path retains no raw arrival vector at all.
 
 use traffic_shadowing::shadow_chaos::{FaultProfile, OutageSpec, RetrySpec, Window};
 use traffic_shadowing::shadow_core::executor::StealConfig;
@@ -15,6 +15,19 @@ fn num_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// One chunk on one worker: the reference shape.
+fn run(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
+}
+
+/// K chunks × K workers for each `k`, then the extra stealing `shapes`.
+fn shapes_with(ks: &[usize], shapes: &[StealConfig]) -> Vec<StealConfig> {
+    ks.iter()
+        .map(|&k| StealConfig::with_workers(k).with_chunks(k))
+        .chain(shapes.iter().copied())
+        .collect()
 }
 
 fn bundle_json(outcome: &StudyOutcome) -> String {
@@ -57,7 +70,7 @@ fn rich_profile() -> FaultProfile {
 
 #[test]
 fn default_path_retains_no_arrivals() {
-    let outcome = Study::run(StudyConfig::tiny(SEED));
+    let outcome = run(StudyConfig::tiny(SEED));
     assert!(
         outcome.phase1.arrivals.is_empty(),
         "streaming mode must not buffer raw arrivals"
@@ -76,7 +89,7 @@ fn default_path_retains_no_arrivals() {
 
 #[test]
 fn streamed_aggregates_match_batch_fold_on_retained_run() {
-    let outcome = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
+    let outcome = run(StudyConfig::tiny(SEED).with_retained_arrivals());
     let batch = CorrelationAggregates::from_arrivals(
         &outcome.phase1.registry,
         &outcome.phase1.arrivals,
@@ -90,8 +103,8 @@ fn streamed_aggregates_match_batch_fold_on_retained_run() {
 
 #[test]
 fn streaming_bundle_matches_retained_bundle() {
-    let streamed = Study::run(StudyConfig::tiny(SEED));
-    let retained = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
+    let streamed = run(StudyConfig::tiny(SEED));
+    let retained = run(StudyConfig::tiny(SEED).with_retained_arrivals());
     assert_eq!(
         bundle_json(&streamed),
         bundle_json_without_samples(&retained),
@@ -104,28 +117,17 @@ fn streaming_bundle_matches_retained_bundle() {
 
 #[test]
 fn streaming_is_shard_invariant() {
-    let sequential = Study::run(StudyConfig::tiny(SEED));
+    // The streaming default is exactly what paper-scale campaigns run.
+    let sequential = run(StudyConfig::tiny(SEED));
     let expected = bundle_json(&sequential);
-    for k in [1usize, 3, 7, num_cpus()] {
-        let sharded = Study::run_sharded(StudyConfig::tiny(SEED), k);
-        assert_eq!(
-            sequential.phase1.aggregates, sharded.phase1.aggregates,
-            "K={k}: streamed aggregates diverge"
-        );
-        assert_eq!(
-            expected,
-            bundle_json(&sharded),
-            "K={k}: streamed analysis bundles diverge"
-        );
-        assert!(sharded.phase1.arrivals.is_empty());
-    }
-    // The streaming default is exactly what paper-scale work-stealing
-    // campaigns run; cover the same shapes here.
-    for shape in [
-        StealConfig::with_workers(1),
-        StealConfig::with_workers(3).with_chunks(7),
-        StealConfig::auto(),
-    ] {
+    let shapes = shapes_with(
+        &[3, 7, num_cpus()],
+        &[
+            StealConfig::with_workers(3).with_chunks(7),
+            StealConfig::auto(),
+        ],
+    );
+    for shape in shapes {
         let stolen = Study::run_work_stealing(StudyConfig::tiny(SEED), shape);
         assert_eq!(
             sequential.phase1.aggregates, stolen.phase1.aggregates,
@@ -143,30 +145,22 @@ fn streaming_is_shard_invariant() {
 #[test]
 fn streaming_is_shard_invariant_under_faults() {
     let config = || StudyConfig::tiny(SEED).with_faults(rich_profile());
-    let sequential = Study::run(config());
+    let sequential = run(config());
     let expected = bundle_json(&sequential);
-    let retained = Study::run(config().with_retained_arrivals());
+    let retained = run(config().with_retained_arrivals());
     assert_eq!(
         expected,
         bundle_json_without_samples(&retained),
         "faults: streamed vs retained bundles diverge"
     );
-    for k in [1usize, 3, 7, num_cpus()] {
-        let sharded = Study::run_sharded(config(), k);
-        assert_eq!(
-            sequential.phase1.aggregates, sharded.phase1.aggregates,
-            "K={k}: streamed aggregates diverge under faults"
-        );
-        assert_eq!(
-            expected,
-            bundle_json(&sharded),
-            "K={k}: streamed bundles diverge under faults"
-        );
-    }
-    for shape in [
-        StealConfig::with_workers(2).with_chunks(5),
-        StealConfig::auto(),
-    ] {
+    let shapes = shapes_with(
+        &[3, 7, num_cpus()],
+        &[
+            StealConfig::with_workers(2).with_chunks(5),
+            StealConfig::auto(),
+        ],
+    );
+    for shape in shapes {
         let stolen = Study::run_work_stealing(config(), shape);
         assert_eq!(
             sequential.phase1.aggregates, stolen.phase1.aggregates,
@@ -183,7 +177,7 @@ fn streaming_is_shard_invariant_under_faults() {
 #[test]
 fn histogram_grid_matches_cdf_bit_for_bit() {
     use traffic_shadowing::shadow_analysis::export::{grid_points, grid_points_streamed};
-    let outcome = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
+    let outcome = run(StudyConfig::tiny(SEED).with_retained_arrivals());
     let pairs = [
         (grid_points(&outcome.fig4_cdf()), outcome.fig4_hist()),
         (
@@ -215,8 +209,8 @@ fn histogram_grid_matches_cdf_bit_for_bit() {
 #[test]
 #[ignore = "standard world: run in release via the CI streaming-equivalence job"]
 fn streaming_matches_retained_on_standard_world() {
-    let streamed = Study::run(StudyConfig::standard(SEED));
-    let retained = Study::run(StudyConfig::standard(SEED).with_retained_arrivals());
+    let streamed = run(StudyConfig::standard(SEED));
+    let retained = run(StudyConfig::standard(SEED).with_retained_arrivals());
     assert!(streamed.phase1.arrivals.is_empty());
     assert_eq!(
         bundle_json(&streamed),
@@ -228,12 +222,12 @@ fn streaming_matches_retained_on_standard_world() {
         &SinkConfig::retained(),
     );
     assert_eq!(streamed.phase1.aggregates, batch);
-    for k in [1usize, 4] {
-        let sharded = Study::run_sharded(StudyConfig::standard(SEED), k);
-        assert_eq!(streamed.phase1.aggregates, sharded.phase1.aggregates);
-        assert_eq!(bundle_json(&streamed), bundle_json(&sharded));
+    for shape in shapes_with(&[4], &[StealConfig::auto()]) {
+        let stolen = Study::run_work_stealing(StudyConfig::standard(SEED), shape);
+        assert_eq!(
+            streamed.phase1.aggregates, stolen.phase1.aggregates,
+            "{shape:?}"
+        );
+        assert_eq!(bundle_json(&streamed), bundle_json(&stolen), "{shape:?}");
     }
-    let stolen = Study::run_work_stealing(StudyConfig::standard(SEED), StealConfig::auto());
-    assert_eq!(streamed.phase1.aggregates, stolen.phase1.aggregates);
-    assert_eq!(bundle_json(&streamed), bundle_json(&stolen));
 }

@@ -2,6 +2,7 @@
 //! must qualitatively recover every headline finding of the paper.
 
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::shadow_netsim::time::SimDuration;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
@@ -10,7 +11,12 @@ fn outcome() -> &'static StudyOutcome {
     static OUTCOME: OnceLock<StudyOutcome> = OnceLock::new();
     // Retained: several of these tests are sample-level (Figure 6 origins,
     // probing payloads, the case studies).
-    OUTCOME.get_or_init(|| Study::run(StudyConfig::tiny(1234).with_retained_arrivals()))
+    OUTCOME.get_or_init(|| {
+        Study::run_work_stealing(
+            StudyConfig::tiny(1234).with_retained_arrivals(),
+            StealConfig::with_workers(1),
+        )
+    })
 }
 
 #[test]

@@ -1,10 +1,10 @@
 //! The shadow-topo guarantees, enforced end to end:
 //!
 //! 1. **Router-graph determinism.** The Phase II router-graph
-//!    reconstruction serializes byte-identically for K∈{1,4} shard
-//!    counts, with and without a fault profile — the per-shard builders
-//!    fold disjoint probe-path sets and `absorb` is commutative, so the
-//!    merged graph cannot depend on shard scheduling.
+//!    reconstruction serializes byte-identically for one chunk and for
+//!    K chunks × K workers (K=4), with and without a fault profile — the
+//!    per-chunk builders fold disjoint probe-path sets and `absorb` is
+//!    commutative, so the merged graph cannot depend on scheduling.
 //!
 //! 2. **LPM/scan equivalence.** The treebitmap trie behind `GeoDb::lookup`
 //!    answers exactly like the old sorted-vec backward scan (kept as
@@ -14,29 +14,36 @@
 
 use std::net::Ipv4Addr;
 use traffic_shadowing::shadow_chaos::FaultProfile;
+use traffic_shadowing::shadow_core::executor::StealConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
-use traffic_shadowing::study::{Study, StudyConfig};
+use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
-fn graph_json(outcome: &traffic_shadowing::study::StudyOutcome) -> String {
+/// One chunk on one worker: the reference shape.
+fn run(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(1))
+}
+
+/// Four chunks drained by four workers.
+fn run_4x4(config: StudyConfig) -> StudyOutcome {
+    Study::run_work_stealing(config, StealConfig::with_workers(4).with_chunks(4))
+}
+
+fn graph_json(outcome: &StudyOutcome) -> String {
     serde_json::to_string(&outcome.router_graph).expect("router graph serializes")
 }
 
 #[test]
 fn router_graph_identical_across_shard_counts() {
-    let sequential = Study::run(StudyConfig::tiny(7));
+    let sequential = run(StudyConfig::tiny(7));
     assert!(
         sequential.router_graph.observations > 0,
         "tiny study must reveal hops"
     );
-    let expected = graph_json(&sequential);
-    for k in [1, 4] {
-        let sharded = Study::run_sharded(StudyConfig::tiny(7), k);
-        assert_eq!(
-            expected,
-            graph_json(&sharded),
-            "K={k}: router graph diverges from sequential"
-        );
-    }
+    assert_eq!(
+        graph_json(&sequential),
+        graph_json(&run_4x4(StudyConfig::tiny(7))),
+        "K=4: router graph diverges from the one-chunk run"
+    );
 }
 
 #[test]
@@ -48,23 +55,20 @@ fn router_graph_identical_across_shard_counts_under_faults() {
         ..FaultProfile::baseline("topo-faults")
     };
     let config = || StudyConfig::tiny(7).with_faults(profile.clone());
-    let sequential = Study::run(config());
+    let sequential = run(config());
     let expected = graph_json(&sequential);
     // Rate limiting must actually bite, or this test collapses into the
     // fault-free one above.
-    let baseline = Study::run(StudyConfig::tiny(7));
+    let baseline = run(StudyConfig::tiny(7));
     assert!(
         sequential.router_graph.observations < baseline.router_graph.observations,
         "ICMP rate limiting should suppress some Time-Exceeded answers"
     );
-    for k in [1, 4] {
-        let sharded = Study::run_sharded(config(), k);
-        assert_eq!(
-            expected,
-            graph_json(&sharded),
-            "K={k}: faulted router graph diverges from sequential"
-        );
-    }
+    assert_eq!(
+        expected,
+        graph_json(&run_4x4(config())),
+        "K=4: faulted router graph diverges from the one-chunk run"
+    );
 }
 
 #[test]
