@@ -7,10 +7,10 @@
 //! * `paper / ws @ num_cpus` — the paper's deployment, bounded VP slice;
 //! * `10x / ws @ num_cpus` — ten times the paper's decoy volume.
 //!
-//! The committed `BENCH_scale.json` predates the single executor: its
-//! `fixed @ 4` cell and `ws_over_fixed_paper` ratio record the fixed-shard
-//! executor's cost, the measurement that retired it. A re-run writes the
-//! `ws` cells only.
+//! The committed `BENCH_scale.json` also holds a `fixed @ 4` cell and the
+//! `ws_over_fixed_paper` ratio: the fixed-shard executor's cost, the
+//! measurement that retired it. A re-run replaces the `ws` cells and
+//! carries those over unchanged.
 //!
 //! With `--test` only the tiny smoke cells run (full fidelity, every
 //! subsystem, seconds of wall) and no record is written — the CI hook.
@@ -18,7 +18,9 @@
 //! The probe binary must be built first:
 //! `cargo build --release -p shadow-bench --example scale_probe`.
 
-use shadow_bench::scale::{record_scale_json, scale_json_path, ScaleCell, ScaleRecord};
+use shadow_bench::scale::{
+    load_scale_json, record_scale_json, scale_json_path, ScaleCell, ScaleRecord,
+};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -88,14 +90,22 @@ fn main() {
         return;
     }
 
-    let paper_ws = run_cell(&bin, "paper", cpus, PAPER_SLICE);
-    let tenx_ws = run_cell(&bin, "10x", cpus, TENX_SLICE);
+    let path = scale_json_path();
+    let previous = load_scale_json(&path);
+    let mut cells = vec![
+        run_cell(&bin, "paper", cpus, PAPER_SLICE),
+        run_cell(&bin, "10x", cpus, TENX_SLICE),
+    ];
+    let mut ws_over_fixed_paper = None;
+    if let Some(previous) = previous {
+        cells.extend(previous.cells.into_iter().filter(|c| c.mode != "ws"));
+        ws_over_fixed_paper = previous.ws_over_fixed_paper;
+    }
     let record = ScaleRecord {
         bench: "scale/phase1_paper".to_string(),
-        host_cpus: cpus,
-        cells: vec![paper_ws, tenx_ws],
+        cells,
+        ws_over_fixed_paper,
     };
-    let path = scale_json_path();
     record_scale_json(&path, &record);
     println!("wrote {}", path.display());
 }

@@ -3,13 +3,15 @@
 //! ~20M decoys per round) and at 10× that volume, under the work-stealing
 //! executor at `K = num_cpus`. The committed record also holds a
 //! `fixed @ 4` cell from the retired fixed-shard executor, kept as the
-//! measurement that retired it.
+//! measurement that retired it; a re-run replaces the `ws` cells and
+//! carries every other cell over.
 //!
 //! Full Phase I at these scales runs for minutes (paper) to hours (10×)
 //! on one core, so each cell executes a bounded, documented **VP slice**:
-//! the world, Appendix-E pre-flight and the full-campaign plan are built
-//! at true scale (one scout plan shared via `Arc` by every chunk), while
-//! only the first `vp_slice` VPs post their decoys. `hops/sec` is
+//! the world, Appendix-E pre-flight and the full-campaign send schedule
+//! are built at true scale (one scout schedule shared via `Arc` by every
+//! chunk), while only the first `vp_slice` VPs materialize and post their
+//! decoys. `hops/sec` is
 //! therefore end-to-end throughput of the bounded campaign including
 //! setup.
 //!
@@ -40,6 +42,10 @@ pub const SCALE_SEED: u64 = 0x5eed_2024;
 pub struct ScaleCell {
     /// World scale: `smoke`, `paper` or `10x`.
     pub scale: String,
+    /// Executor: `ws` (work-stealing) or the retired `fixed`.
+    pub mode: String,
+    /// Cores visible to the process that measured the cell.
+    pub host_cpus: usize,
     /// Worker threads.
     pub workers: usize,
     pub vps: usize,
@@ -63,9 +69,10 @@ pub struct ScaleCell {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ScaleRecord {
     pub bench: String,
-    /// Cores visible to the run (`ws` cells use this as K).
-    pub host_cpus: usize,
     pub cells: Vec<ScaleCell>,
+    /// Paper-scale `ws` over `fixed` throughput, from the run that
+    /// retired the fixed-shard executor (both cells at one host).
+    pub ws_over_fixed_paper: Option<f64>,
 }
 
 /// The world configuration behind a scale name.
@@ -109,6 +116,8 @@ pub fn run_scale_cell(scale: &str, workers: usize, vp_slice: Option<usize>) -> S
     let secs = run.as_secs_f64().max(1e-9);
     ScaleCell {
         scale: scale.to_string(),
+        mode: "ws".to_string(),
+        host_cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         workers,
         vps: spec.platform.vps.len(),
         sites: spec.tranco.len(),
@@ -123,13 +132,18 @@ pub fn run_scale_cell(scale: &str, workers: usize, vp_slice: Option<usize>) -> S
     }
 }
 
-/// Write the assembled record to `path`. Unlike the trajectory writers
-/// with a preserved baseline, the scale record is regenerated whole —
-/// every cell was freshly measured by a probe process this run, so there
-/// is no stale-`current` hazard to guard against.
+/// Write the record to `path`. The record is regenerated whole: every
+/// `ws` cell was freshly measured by a probe process this run, and the
+/// historical cells are carried over verbatim by the caller.
 pub fn record_scale_json(path: &Path, record: &ScaleRecord) {
     let text = serde_json::to_string_pretty(record).expect("scale record serializes");
     std::fs::write(path, text + "\n").expect("scale record written");
+}
+
+/// The committed record at `path`, if there is one.
+pub fn load_scale_json(path: &Path) -> Option<ScaleRecord> {
+    let text = std::fs::read_to_string(path).ok()?;
+    Some(serde_json::from_str(&text).expect("committed scale record parses"))
 }
 
 /// Workspace-root location of the scale trajectory file.

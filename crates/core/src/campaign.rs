@@ -10,6 +10,7 @@ use shadow_honeypot::capture::{Arrival, CaptureLog};
 use shadow_honeypot::web::WebHost;
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::NodeId;
+use shadow_packet::dns::DnsName;
 use shadow_packet::transport::{DnsTransport, EncryptionDeployment, TlsMode};
 use shadow_telemetry::{sort_records, EventKind, JournalRecord, MetricsSnapshot};
 use shadow_topo::RouterGraphBuilder;
@@ -17,6 +18,7 @@ use shadow_vantage::platform::VpId;
 use shadow_vantage::schedule::RateLimitedScheduler;
 use shadow_vantage::vp::{DnsRetry, VantagePointHost, VpCommand, VpReport};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 /// Phase I configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -120,17 +122,128 @@ pub struct PlannedSend {
     pub command: VpCommand,
 }
 
-/// The complete Phase I send schedule, computed without touching the
-/// engine. Planning is a pure function of the world's ground truth
-/// (VP roster, destination lists, clock), so every shard of a sharded run
-/// can reproduce the identical global plan and then execute only the
-/// slice it owns.
+/// The global Phase I send schedule: the rate-limited scheduler's output,
+/// computed once without touching the engine.
+///
+/// The plan holds only what is global — one send time per planned decoy —
+/// and leaves the decoys themselves (domain, registry record, VP command)
+/// to [`CampaignRunner::execute_phase1`], which materializes just the sends
+/// its VPs own. A chunk of a multi-chunk run therefore pays for its own
+/// slice of decoys, in parallel with the other chunks, while the scheduler
+/// pass (whose per-target rate limit couples every VP) still runs once.
+///
+/// `sends` is in plan order: round → VP (scout roster order) → the DNS
+/// destinations, then each site's HTTP and TLS decoy, each protocol only
+/// when the config sends it. Every VP owns one run of consecutive times
+/// per round.
 #[derive(Debug)]
 pub struct Phase1Plan {
-    pub registry: DecoyRegistry,
-    pub sends: Vec<PlannedSend>,
-    /// When the last decoy leaves a VP — global across all shards.
+    /// One scheduled send time per planned decoy, in plan order; its
+    /// length is the campaign's planned-send count.
+    pub sends: Vec<SimTime>,
+    /// When the last decoy leaves a VP — global across all chunks.
     pub last_send: SimTime,
+    /// The planning config: its protocol switches fix the plan's layout,
+    /// and its encryption and retry settings shape the materialized
+    /// commands.
+    config: Phase1Config,
+    zone: DnsName,
+    /// The scout's post-pre-flight VP roster `(id, node, addr)`.
+    vps: Vec<(VpId, NodeId, Ipv4Addr)>,
+    dns_targets: Vec<Ipv4Addr>,
+    web_targets: Vec<Ipv4Addr>,
+}
+
+impl Phase1Plan {
+    /// One VP's sends in one round, in plan order: the DNS destinations,
+    /// then each site's HTTP and TLS decoy. Planning and materialization
+    /// both walk this sequence, so send times and decoys line up.
+    fn vp_sends(&self) -> impl Iterator<Item = (DecoyProtocol, Ipv4Addr)> + '_ {
+        let c = &self.config;
+        let dns = self
+            .dns_targets
+            .iter()
+            .filter(move |_| c.send_dns)
+            .map(|&dst| (DecoyProtocol::Dns, dst));
+        let web = self.web_targets.iter().flat_map(move |&dst| {
+            [
+                (c.send_http, DecoyProtocol::Http),
+                (c.send_tls, DecoyProtocol::Tls),
+            ]
+            .into_iter()
+            .filter(|&(on, _)| on)
+            .map(move |(_, protocol)| (protocol, dst))
+        });
+        dns.chain(web)
+    }
+
+    /// Planned sends per VP per round.
+    fn sends_per_vp(&self) -> usize {
+        self.vp_sends().count()
+    }
+
+    /// Register, journal and post one VP's run of sends for one round.
+    fn materialize_vp(
+        &self,
+        world: &mut World,
+        registry: &mut DecoyRegistry,
+        (vp, node, vp_addr): (VpId, NodeId, Ipv4Addr),
+        times: &[SimTime],
+    ) {
+        for ((protocol, dst), &at) in self.vp_sends().zip(times) {
+            let domain = registry
+                .register(vp, vp_addr, dst, protocol, DECOY_TTL, at, None)
+                .domain;
+            let command = decoy_command(&self.config, protocol, vp, dst, domain);
+            post_decoy(
+                world,
+                PlannedSend {
+                    at,
+                    vp,
+                    node,
+                    command,
+                },
+            );
+        }
+    }
+}
+
+/// Initial TTL of every Phase I decoy: high enough to reach any
+/// destination (Phase II sweeps lower TTLs to localize observers).
+const DECOY_TTL: u8 = 64;
+
+/// The Phase I command for one decoy, over the transport the encryption
+/// deployment assigns to `(vp, dst)`.
+fn decoy_command(
+    config: &Phase1Config,
+    protocol: DecoyProtocol,
+    vp: VpId,
+    dst: Ipv4Addr,
+    domain: DnsName,
+) -> VpCommand {
+    let ttl = DECOY_TTL;
+    match protocol {
+        DecoyProtocol::Dns => match config.encryption.profile_for(vp.0, dst).dns {
+            DnsTransport::Udp53 => VpCommand::DnsDecoy {
+                domain,
+                dst,
+                ttl,
+                retry: config.dns_retry,
+            },
+            transport => VpCommand::EncryptedDnsDecoy {
+                domain,
+                dst,
+                ttl,
+                transport,
+            },
+        },
+        DecoyProtocol::Http => VpCommand::HttpDecoy { domain, dst, ttl },
+        DecoyProtocol::Tls => match config.encryption.profile_for(vp.0, dst).tls {
+            TlsMode::ClearSni => VpCommand::TlsDecoy { domain, dst, ttl },
+            TlsMode::Ech => VpCommand::EchTlsDecoy { domain, dst, ttl },
+            TlsMode::FrontedCdn => VpCommand::FrontedTlsDecoy { domain, dst, ttl },
+        },
+    }
 }
 
 /// The campaign runner.
@@ -147,150 +260,47 @@ impl CampaignRunner {
         Self::execute_phase1(world, &plan, config, SinkConfig::retained(), |_| true)
     }
 
-    /// Compute the full Phase I schedule without posting anything.
+    /// Schedule every Phase I send without posting or naming anything.
     pub fn plan_phase1(world: &World, config: &Phase1Config) -> Phase1Plan {
-        let zone = world.zone.clone();
-        let mut registry = DecoyRegistry::new(zone);
         let mut scheduler = RateLimitedScheduler::paper_defaults();
-        let mut last_send = world.engine.now();
         let start0 = world.engine.now() + SimDuration::from_secs(5);
-
-        let dns_targets: Vec<_> = world.dns_destinations.iter().map(|d| d.addr).collect();
-        let web_targets: Vec<_> = world.tranco.iter().map(|s| s.addr).collect();
-        let vps: Vec<_> = world
-            .platform
-            .vps
-            .iter()
-            .map(|vp| (vp.id, vp.node, vp.addr))
-            .collect();
-
-        // The send count is exact up front; pre-sizing matters at paper
-        // scale, where the plan holds ~20M registry entries and growing
-        // the map by doubling would re-insert every one of them.
-        let per_vp = if config.send_dns {
-            dns_targets.len()
-        } else {
-            0
-        } + web_targets.len()
-            * (usize::from(config.send_http) + usize::from(config.send_tls));
-        let expected = vps.len() * per_vp * config.rounds;
-        registry.reserve(expected);
-        let mut sends = Vec::with_capacity(expected);
-
+        let mut plan = Phase1Plan {
+            sends: Vec::new(),
+            last_send: world.engine.now(),
+            config: config.clone(),
+            zone: world.zone.clone(),
+            vps: world
+                .platform
+                .vps
+                .iter()
+                .map(|vp| (vp.id, vp.node, vp.addr))
+                .collect(),
+            dns_targets: world.dns_destinations.iter().map(|d| d.addr).collect(),
+            web_targets: world.tranco.iter().map(|s| s.addr).collect(),
+        };
+        let mut sends = Vec::with_capacity(plan.vps.len() * plan.sends_per_vp() * config.rounds);
         for round in 0..config.rounds {
             let round_start = start0 + config.round_gap.saturating_mul(round as u64);
-            for &(vp_id, vp_node, vp_addr) in &vps {
-                if config.send_dns {
-                    for &dst in &dns_targets {
-                        let at = scheduler.reserve(round_start, vp_id, dst);
-                        let record = registry.register(
-                            vp_id,
-                            vp_addr,
-                            dst,
-                            DecoyProtocol::Dns,
-                            64,
-                            at,
-                            None,
-                        );
-                        let command = match config.encryption.profile_for(vp_id.0, dst).dns {
-                            DnsTransport::Udp53 => VpCommand::DnsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                                retry: config.dns_retry,
-                            },
-                            transport => VpCommand::EncryptedDnsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                                transport,
-                            },
-                        };
-                        sends.push(PlannedSend {
-                            at,
-                            vp: vp_id,
-                            node: vp_node,
-                            command,
-                        });
-                        last_send = last_send.max(at);
-                    }
-                }
-                for &dst in &web_targets {
-                    if config.send_http {
-                        let at = scheduler.reserve(round_start, vp_id, dst);
-                        let record = registry.register(
-                            vp_id,
-                            vp_addr,
-                            dst,
-                            DecoyProtocol::Http,
-                            64,
-                            at,
-                            None,
-                        );
-                        sends.push(PlannedSend {
-                            at,
-                            vp: vp_id,
-                            node: vp_node,
-                            command: VpCommand::HttpDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                        });
-                        last_send = last_send.max(at);
-                    }
-                    if config.send_tls {
-                        let at = scheduler.reserve(round_start, vp_id, dst);
-                        let record = registry.register(
-                            vp_id,
-                            vp_addr,
-                            dst,
-                            DecoyProtocol::Tls,
-                            64,
-                            at,
-                            None,
-                        );
-                        let command = match config.encryption.profile_for(vp_id.0, dst).tls {
-                            TlsMode::ClearSni => VpCommand::TlsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                            TlsMode::Ech => VpCommand::EchTlsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                            TlsMode::FrontedCdn => VpCommand::FrontedTlsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                        };
-                        sends.push(PlannedSend {
-                            at,
-                            vp: vp_id,
-                            node: vp_node,
-                            command,
-                        });
-                        last_send = last_send.max(at);
-                    }
+            for &(vp, _, _) in &plan.vps {
+                for (_, dst) in plan.vp_sends() {
+                    sends.push(scheduler.reserve(round_start, vp, dst));
                 }
             }
         }
-
-        Phase1Plan {
-            registry,
-            sends,
-            last_send,
-        }
+        plan.last_send = sends.iter().copied().fold(plan.last_send, SimTime::max);
+        plan.sends = sends;
+        plan
     }
 
-    /// Execute the slice of `plan` whose VPs satisfy `owns`, run the clock
-    /// through the *global* grace window, and harvest. With `owns = |_|
-    /// true` this is exactly the sequential Phase I; a sharded run calls
-    /// it once per shard with disjoint ownership predicates and absorbs
-    /// the results.
+    /// Materialize and post the sends of `plan` whose VPs satisfy `owns`,
+    /// run the clock through the *global* grace window, and harvest. With
+    /// `owns = |_| true` this is exactly the one-chunk Phase I; a
+    /// multi-chunk run calls it once per chunk with disjoint ownership
+    /// predicates and absorbs the results.
+    ///
+    /// Only owned sends are named, registered and posted — in plan order,
+    /// so a chunk's registry, engine post order and journal are the
+    /// one-chunk run's restricted to its VPs.
     pub fn execute_phase1(
         world: &mut World,
         plan: &Phase1Plan,
@@ -298,16 +308,22 @@ impl CampaignRunner {
         sink: SinkConfig,
         owns: impl Fn(VpId) -> bool,
     ) -> CampaignData {
-        let registry = plan.registry.filter_vps(&owns);
-        let shared = install_sink(world, &registry, sink);
-        for send in &plan.sends {
-            if owns(send.vp) {
-                record_decoy_send(world, send);
-                world
-                    .engine
-                    .post(send.at, send.node, Box::new(send.command.clone()));
+        let owned: Vec<bool> = plan.vps.iter().map(|&(vp, _, _)| owns(vp)).collect();
+        let per_vp = plan.sends_per_vp();
+        let mut registry = DecoyRegistry::new(plan.zone.clone());
+        registry.reserve(owned.iter().filter(|&&o| o).count() * per_vp * plan.config.rounds);
+        if per_vp > 0 {
+            // Run `slot` is VP `slot % #VPs` in round `slot / #VPs`.
+            for (slot, times) in plan.sends.chunks_exact(per_vp).enumerate() {
+                let vp = slot % plan.vps.len();
+                if owned[vp] {
+                    plan.materialize_vp(world, &mut registry, plan.vps[vp], times);
+                }
             }
         }
+        // Posting only queues events, so the sink is in place before any
+        // arrival can reach it.
+        let shared = install_sink(world, &registry, sink);
         world.engine.run_until(plan.last_send + config.grace);
         let (arrivals, vp_reports) = Self::harvest_filtered(world, &owns);
         let aggregates = drain_sink(world, &shared);
@@ -398,7 +414,7 @@ pub(crate) fn drain_sink(
 /// [`EventKind::DecoySent`] event, stamped with its scheduled sim-time and
 /// the VP's node. Pre-flight `RawUdp` checks carry no decoy identifier and
 /// are not counted.
-pub(crate) fn record_decoy_send(world: &World, send: &PlannedSend) {
+fn record_decoy_send(world: &World, send: &PlannedSend) {
     let telemetry = world.engine.telemetry();
     if !telemetry.is_enabled() {
         return;
@@ -433,6 +449,14 @@ pub(crate) fn record_decoy_send(world: &World, send: &PlannedSend) {
     });
 }
 
+/// Record `send` (see [`record_decoy_send`]) and post its command.
+pub(crate) fn post_decoy(world: &mut World, send: PlannedSend) {
+    record_decoy_send(world, &send);
+    world
+        .engine
+        .post(send.at, send.node, Box::new(send.command));
+}
+
 /// Journal a [`EventKind::PhaseEnded`] marker (meta — skipped by diffs).
 pub(crate) fn emit_phase_end(world: &World, phase: &str) {
     let telemetry = world.engine.telemetry();
@@ -453,4 +477,70 @@ pub(crate) fn drain_telemetry(world: &World) -> (MetricsSnapshot, Vec<JournalRec
     let mut journal = telemetry.drain_journal();
     sort_records(&mut journal);
     (metrics, journal)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::noise::NoiseFilter;
+    use crate::world::{generate_spec, WorldConfig};
+    use shadow_telemetry::Telemetry;
+
+    fn tiny_world() -> World {
+        let mut world = generate_spec(WorldConfig::tiny(7)).instantiate();
+        NoiseFilter::run_and_apply(&mut world);
+        world
+    }
+
+    #[test]
+    fn plan_holds_one_time_per_send_for_every_protocol_mix() {
+        let world = tiny_world();
+        let vps = world.platform.vps.len();
+        let dns = world.dns_destinations.len();
+        let sites = world.tranco.len();
+        assert!(vps > 1 && dns > 0 && sites > 0);
+        for mask in 0..8u8 {
+            for rounds in [1, 3] {
+                let config = Phase1Config {
+                    send_dns: mask & 1 != 0,
+                    send_http: mask & 2 != 0,
+                    send_tls: mask & 4 != 0,
+                    rounds,
+                    ..Phase1Config::default()
+                };
+                let plan = CampaignRunner::plan_phase1(&world, &config);
+                let per_vp = dns * usize::from(config.send_dns)
+                    + sites * (usize::from(config.send_http) + usize::from(config.send_tls));
+                assert_eq!(plan.sends_per_vp(), per_vp, "{config:?}");
+                assert_eq!(plan.sends.len(), vps * per_vp * rounds, "{config:?}");
+                let latest = plan.sends.iter().copied().max();
+                assert_eq!(
+                    plan.last_send,
+                    latest.unwrap_or(world.engine.now()),
+                    "{config:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn owning_no_vp_posts_nothing() {
+        let mut world = tiny_world();
+        world.engine.set_telemetry(Telemetry::metrics_only(0));
+        let config = Phase1Config::default();
+        let plan = CampaignRunner::plan_phase1(&world, &config);
+        assert!(!plan.sends.is_empty());
+        let data = CampaignRunner::execute_phase1(
+            &mut world,
+            &plan,
+            &config,
+            SinkConfig::retained(),
+            |_| false,
+        );
+        assert!(data.registry.is_empty());
+        assert!(data.arrivals.is_empty());
+        assert!(data.vp_reports.is_empty());
+        assert!(data.metrics.world.decoys_sent.values().all(|&n| n == 0));
+        assert_eq!(data.metrics.world.packets_forwarded, 0);
+    }
 }

@@ -55,9 +55,10 @@ impl DecoyRecord {
 /// decoy.
 ///
 /// Records live in a registration-order vector with a domain → index map
-/// on the side: iteration (which the sharded executor's `filter_vps` runs
-/// over the full multi-million-entry plan registry once per chunk) walks
-/// the vector with no hashing, and the map entries stay small.
+/// on the side: iteration (reports, [`DecoyRegistry::absorb`], Phase II's
+/// `filter_vps`) walks the vector with no hashing, and the map entries
+/// stay small. Phase I registries are built per chunk, holding only the
+/// decoys that chunk's VPs send.
 #[derive(Debug, Clone, Default)]
 pub struct DecoyRegistry {
     zone: Option<DnsName>,
@@ -89,6 +90,12 @@ impl DecoyRegistry {
 
     /// Build and register a decoy for `(vp, dst, protocol, ttl)` planned at
     /// `planned_at`. Returns the record (domain included).
+    ///
+    /// # Panics
+    ///
+    /// If the decoy's domain is already registered. Domains encode the
+    /// VP, destination, TTL and send time (100 ms resolution), so a repeat
+    /// means the scheduler's rate limits broke — an internal bug.
     #[allow(clippy::too_many_arguments)]
     pub fn register(
         &mut self,
@@ -115,8 +122,10 @@ impl DecoyRegistry {
             planned_at,
             sweep,
         };
+        // A repeat would repoint the domain at the newer record and
+        // misattribute the older decoy's arrivals.
         let previous = self.by_domain.insert(domain, self.records.len() as u32);
-        debug_assert!(
+        assert!(
             previous.is_none(),
             "decoy domains must be unique: {} reused",
             record.domain
@@ -154,9 +163,9 @@ impl DecoyRegistry {
     }
 
     /// A copy keeping only decoys whose sending VP satisfies `owns`,
-    /// preserving registration order. Sharded runs slice the global plan's
-    /// registry this way so shard registries are disjoint and their union
-    /// (via [`DecoyRegistry::absorb`]) recovers the global one.
+    /// preserving registration order. Phase II chunks slice the global
+    /// sweep registry this way so chunk registries are disjoint and their
+    /// union (via [`DecoyRegistry::absorb`]) recovers the global one.
     pub fn filter_vps(&self, owns: impl Fn(VpId) -> bool) -> DecoyRegistry {
         let mut out = DecoyRegistry {
             zone: self.zone.clone(),
@@ -246,6 +255,24 @@ mod tests {
         );
         assert_ne!(a.domain, b.domain);
         assert_eq!(reg.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "decoy domains must be unique")]
+    fn duplicate_domain_panics() {
+        let mut reg = DecoyRegistry::new(zone());
+        for protocol in [DecoyProtocol::Http, DecoyProtocol::Tls] {
+            // Same VP, destination, TTL and 100 ms slot → the same domain.
+            reg.register(
+                VpId(1),
+                vp_addr(),
+                Ipv4Addr::new(1, 1, 1, 1),
+                protocol,
+                64,
+                SimTime(1_000),
+                None,
+            );
+        }
     }
 
     #[test]

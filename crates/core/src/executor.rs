@@ -8,13 +8,15 @@
 //! 2. partitions the VP set round-robin into [`StealConfig::chunks`]
 //!    chunks;
 //! 3. instantiates one scout [`World`], replays the Appendix-E pre-flight
-//!    on it and compiles the *global* plan once, shared read-only by every
-//!    chunk;
+//!    on it and schedules the *global* plan once — one send time per
+//!    planned decoy, shared read-only by every chunk (the per-target rate
+//!    limit couples all VPs, so only the scheduler pass must be global);
 //! 4. lets [`StealConfig::workers`] threads drain the chunks, each chunk in
 //!    its own private world instantiated from the shared spec (identical
 //!    topology, exhibitor seeds and honeypots) with the pre-flight
-//!    replayed, posting only the sends its VPs own and running the clock
-//!    through the global grace window;
+//!    replayed. A chunk materializes only the decoys its VPs own — their
+//!    domains, registry records and commands — posts them, and runs the
+//!    clock through the global grace window;
 //! 5. merges chunk outputs in chunk order with the commutative,
 //!    order-stable [`CampaignData::absorb`].
 //!
@@ -199,10 +201,14 @@ fn next_chunk(local: &Worker<usize>, me: usize, stealers: &[Stealer<usize>]) -> 
 /// skewed world (one chunk's VPs triggering heavy exhibitor replay) keeps
 /// every core busy instead of serializing on the slowest chunk.
 ///
-/// * The global plan is computed **once** on a scout world and shared
-///   read-only (`Arc`) with every chunk — the plan is a pure function of
-///   the post-pre-flight world, so replanning per chunk would be pure
-///   overhead (and the dominant serial tail at paper scale).
+/// * The global send schedule is computed **once** on a scout world and
+///   shared read-only (`Arc`) with every chunk — it is a pure function of
+///   the post-pre-flight world, so rescheduling per chunk would be pure
+///   overhead. The schedule holds send times only: each chunk names,
+///   registers and builds commands for its own VPs' decoys, so that
+///   work runs in parallel and a bounded run (see
+///   [`run_phase1_work_stealing_bounded`]) materializes only the VPs it
+///   executes.
 /// * Chunk→thread placement is nondeterministic (stealing), but each chunk
 ///   runs in its own private world keyed by chunk index and the merge
 ///   folds in chunk-index order, so output is byte-identical for any
@@ -216,7 +222,7 @@ fn next_chunk(local: &Worker<usize>, me: usize, stealers: &[Stealer<usize>]) -> 
 ///   Snapshots and journals ride back inside each chunk's
 ///   [`CampaignData`] and merge in [`CampaignData::absorb`].
 /// * Each chunk installs its own [`crate::sink::CorrelationSink`] over the
-///   registry slice it owns; with [`SinkConfig::streaming`] no chunk ever
+///   registry of the decoys it sent; with [`SinkConfig::streaming`] no chunk ever
 ///   buffers its arrival vector.
 ///
 /// The scout world is not wasted: worker 0 uses it (post-pre-flight,
@@ -235,7 +241,7 @@ pub fn run_phase1_work_stealing(
 
 /// [`run_phase1_work_stealing`] with an optional execution bound: when
 /// `vp_limit` is `Some(n)`, only the first `n` VPs (in platform order)
-/// post their sends. The scout world, pre-flight replay and shared plan
+/// post their sends. The scout world, pre-flight replay and send schedule
 /// still run at full scale — the bound trims the measured slice, not the
 /// fixed setup cost. Unbounded callers are unaffected.
 #[allow(clippy::too_many_arguments)]

@@ -216,10 +216,7 @@ impl Phase2Runner {
         let shared = crate::campaign::install_sink(world, &registry, sink);
         for send in &plan.sends {
             if owns(send.vp) {
-                crate::campaign::record_decoy_send(world, send);
-                world
-                    .engine
-                    .post(send.at, send.node, Box::new(send.command.clone()));
+                crate::campaign::post_decoy(world, send.clone());
             }
         }
         world.engine.run_until(plan.last_send + config.grace);

@@ -9,9 +9,21 @@
 //! full Figure/Table artifact set), the raw Phase I arrival stream, and
 //! the unsolicited-request classifications. Two distinct seeds are tested
 //! so a bug that collapses output to a constant cannot pass.
+//!
+//! Below the study level, `multi_round_protocol_subsets_match_one_chunk`
+//! drives `execute_phase1` directly with plans the study presets never
+//! use (two rounds, one protocol off), where each chunk must pick its own
+//! VPs' runs out of every round of the shared send schedule.
 
+use traffic_shadowing::shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
 use traffic_shadowing::shadow_core::correlate::CorrelatedRequest;
-use traffic_shadowing::shadow_core::executor::StealConfig;
+use traffic_shadowing::shadow_core::decoy::DecoyRecord;
+use traffic_shadowing::shadow_core::executor::{shard_vps, StealConfig};
+use traffic_shadowing::shadow_core::noise::NoiseFilter;
+use traffic_shadowing::shadow_core::sink::SinkConfig;
+use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
+use traffic_shadowing::shadow_netsim::time::SimTime;
+use traffic_shadowing::shadow_vantage::platform::VpId;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 const SEEDS: [u64; 2] = [99, 424_242];
@@ -156,4 +168,113 @@ fn distinct_seeds_still_differ_under_sharding() {
         a.phase1.aggregates, b.phase1.aggregates,
         "different seeds must produce different sharded traffic"
     );
+}
+
+/// Phase I straight through `execute_phase1`: one send schedule planned on
+/// a scout world, then one fresh world per ownership set, as the executor
+/// runs it. Returns the planned-send count and the per-set data in set
+/// order.
+fn phase1_chunks(
+    seed: u64,
+    config: &Phase1Config,
+    owned: &[Vec<VpId>],
+) -> (usize, Vec<CampaignData>) {
+    let spec = generate_spec(WorldConfig::tiny(seed));
+    let mut scout = spec.instantiate();
+    NoiseFilter::run_and_apply(&mut scout);
+    let plan = CampaignRunner::plan_phase1(&scout, config);
+    let chunks = owned
+        .iter()
+        .map(|vps| {
+            let mut world = spec.instantiate();
+            NoiseFilter::run_and_apply(&mut world);
+            CampaignRunner::execute_phase1(
+                &mut world,
+                &plan,
+                config,
+                SinkConfig::retained(),
+                |vp| vps.contains(&vp),
+            )
+        })
+        .collect();
+    (plan.sends.len(), chunks)
+}
+
+fn records(data: &CampaignData) -> Vec<DecoyRecord> {
+    data.registry.iter().cloned().collect()
+}
+
+/// Multi-round, protocol-subset plans: every chunk materializes exactly the
+/// one-chunk run's decoys for its VPs, in the same order, and the merged
+/// chunks equal the one-chunk run.
+fn assert_chunks_match_one_chunk(config: Phase1Config) {
+    let seed = 99;
+    let vp_ids: Vec<VpId> = generate_spec(WorldConfig::tiny(seed))
+        .platform
+        .vps
+        .iter()
+        .map(|vp| vp.id)
+        .collect();
+    let (planned, mut one) = phase1_chunks(seed, &config, std::slice::from_ref(&vp_ids));
+    let one = one.remove(0);
+    let parts: Vec<Vec<VpId>> = shard_vps(&vp_ids, 3)
+        .into_iter()
+        .map(|set| set.into_iter().collect())
+        .collect();
+    let (_, chunks) = phase1_chunks(seed, &config, &parts);
+
+    assert_eq!(
+        one.registry.len(),
+        planned,
+        "{config:?}: every send registered"
+    );
+    let second_round = SimTime(config.round_gap.millis());
+    assert!(
+        one.registry.iter().any(|r| r.planned_at < second_round)
+            && one.registry.iter().any(|r| r.planned_at >= second_round),
+        "{config:?}: decoys in both rounds"
+    );
+    assert!(
+        !one.arrivals.is_empty(),
+        "{config:?}: the run carries traffic"
+    );
+
+    for (vps, chunk) in parts.iter().zip(&chunks) {
+        let expected: Vec<DecoyRecord> = records(&one)
+            .into_iter()
+            .filter(|r| vps.contains(&r.vp))
+            .collect();
+        assert_eq!(records(chunk), expected, "{config:?}: chunk registry");
+        assert_eq!(chunk.last_send, one.last_send, "{config:?}: last_send");
+    }
+
+    let mut merged = chunks[0].clone();
+    for chunk in &chunks[1..] {
+        merged.absorb(chunk.clone());
+    }
+    let mut merged_records = records(&merged);
+    let mut one_records = records(&one);
+    merged_records.sort_by(|a, b| a.domain.cmp(&b.domain));
+    one_records.sort_by(|a, b| a.domain.cmp(&b.domain));
+    assert_eq!(merged_records, one_records, "{config:?}: merged registry");
+    assert_eq!(
+        merged.last_send, one.last_send,
+        "{config:?}: merged last_send"
+    );
+    assert_eq!(merged.arrivals, one.arrivals, "{config:?}: arrivals");
+    assert_eq!(merged.aggregates, one.aggregates, "{config:?}: aggregates");
+}
+
+#[test]
+fn multi_round_protocol_subsets_match_one_chunk() {
+    assert_chunks_match_one_chunk(Phase1Config {
+        rounds: 2,
+        send_http: false,
+        ..Phase1Config::default()
+    });
+    assert_chunks_match_one_chunk(Phase1Config {
+        rounds: 2,
+        send_dns: false,
+        ..Phase1Config::default()
+    });
 }
