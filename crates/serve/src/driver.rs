@@ -27,7 +27,7 @@
 //! positions from `(seed, waves_done)` and rejects a checkpoint whose
 //! recorded positions disagree.
 
-use crate::checkpoint::{CampaignCheckpoint, CheckpointHeader, CHECKPOINT_VERSION};
+use crate::checkpoint::{CampaignCheckpoint, CheckpointHeader, CheckpointView, CHECKPOINT_VERSION};
 use crate::ServeError;
 use shadow_core::sink::CorrelationAggregates;
 use shadow_telemetry::{JournalRecord, MetricsSnapshot};
@@ -346,12 +346,7 @@ impl CampaignDriver {
     /// The durable form of the current cumulative state.
     pub fn checkpoint(&self) -> CampaignCheckpoint {
         CampaignCheckpoint {
-            header: CheckpointHeader {
-                version: CHECKPOINT_VERSION,
-                world_hash: self.config.world_hash(),
-                shards: self.config.shards,
-                waves_total: self.config.waves,
-            },
+            header: self.checkpoint_header(),
             waves_done: self.waves_done,
             sim_cursor_ms: self.sim_cursor_ms,
             rng_streams: self.rng_streams.clone(),
@@ -361,9 +356,30 @@ impl CampaignDriver {
         }
     }
 
-    /// Checkpoint to `path` (atomic: tmp file + rename).
+    /// Checkpoint to `path` (atomic: tmp file + rename). Streams from the
+    /// driver's own state: the same bytes as `checkpoint().save(path)`,
+    /// without a copy of the journal.
     pub fn save_checkpoint(&self, path: &Path) -> Result<(), ServeError> {
-        self.checkpoint().save(path)
+        let aggregates = self.aggregates.to_portable();
+        CheckpointView {
+            header: self.checkpoint_header(),
+            waves_done: self.waves_done,
+            sim_cursor_ms: self.sim_cursor_ms,
+            rng_streams: &self.rng_streams,
+            aggregates: &aggregates,
+            metrics: &self.metrics,
+            journal: &self.journal,
+        }
+        .save(path)
+    }
+
+    fn checkpoint_header(&self) -> CheckpointHeader {
+        CheckpointHeader {
+            version: CHECKPOINT_VERSION,
+            world_hash: self.config.world_hash(),
+            shards: self.config.shards,
+            waves_total: self.config.waves,
+        }
     }
 }
 

@@ -16,9 +16,10 @@
 //!   interrupted and resumed — at any shard count.
 //!
 //! * **[`checkpoint`]** — the durable form of that cumulative state: a
-//!   versioned, world-hashed JSON file of sink aggregates (in their
-//!   portable entry-vector form), RNG stream positions, the simulated-time
-//!   cursor, merged metrics, and the offset journal. Written atomically
+//!   versioned, world-hashed JSON-lines file. Its head line holds sink
+//!   aggregates (in their portable entry-vector form), RNG stream
+//!   positions, the simulated-time cursor and merged metrics; the offset
+//!   journal follows, one record per line. Streamed to disk atomically
 //!   (tmp + rename) after every wave.
 //!
 //! * **[`http`]** / **[`daemon`]** — a hand-rolled HTTP/1.1 server on

@@ -15,11 +15,14 @@
 //!
 //! Records buffer in memory behind a mutex (one journal per shard — no
 //! cross-thread contention) and are drained, sorted into the total key
-//! order, and written as JSONL after the run.
+//! order, and written as JSONL after the run. [`write_jsonl`] and
+//! [`read_jsonl`] are the one journal codec: they stream one record per
+//! line, and everything else that stores a journal is built on them.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::io::{self, BufRead, Write};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -157,12 +160,8 @@ impl JournalRecord {
     /// from different shard counts compare equal iff they describe the
     /// same simulated fact.
     pub fn diff_key(&self) -> (u64, u8, u32, String) {
-        (
-            self.at_ms,
-            self.event.rank(),
-            self.node.map(|n| n + 1).unwrap_or(0),
-            serde_json::to_string(&self.event).unwrap_or_default(),
-        )
+        let (at, rank, node) = self.key_prefix();
+        (at, rank, node, self.payload())
     }
 
     /// The full deterministic sort key: diff key, then shard, then
@@ -171,37 +170,105 @@ impl JournalRecord {
         let (at, rank, node, payload) = self.diff_key();
         (at, rank, node, payload, self.shard, self.seq)
     }
+
+    /// The diff key without its payload: cheap to compare, and it settles
+    /// almost every pair of records on its own.
+    fn key_prefix(&self) -> (u64, u8, u32) {
+        (
+            self.at_ms,
+            self.event.rank(),
+            self.node.map(|n| n + 1).unwrap_or(0),
+        )
+    }
+
+    fn payload(&self) -> String {
+        serde_json::to_string(&self.event).unwrap_or_default()
+    }
 }
 
 /// Sort records into the canonical total order (deterministic for a fixed
 /// seed and shard count; world-event prefix identical across shard counts).
+///
+/// This is the order of [`JournalRecord::sort_key`], reached in two
+/// stable passes: first by (sim-time, rank, node), then each run of
+/// records tied on those by (payload, shard, seq). Only tied records are
+/// rendered to JSON, each once.
 pub fn sort_records(records: &mut [JournalRecord]) {
-    records.sort_by_cached_key(|r| r.sort_key());
-}
-
-/// Serialize records as JSONL, one record per line, in the given order.
-pub fn to_jsonl(records: &[JournalRecord]) -> Result<String, serde_json::Error> {
-    let mut out = String::new();
-    for record in records {
-        out.push_str(&serde_json::to_string(record)?);
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// Parse a JSONL journal. Blank lines are skipped; any malformed line is an
-/// error naming its line number.
-pub fn from_jsonl(input: &str) -> Result<Vec<JournalRecord>, String> {
-    let mut out = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    records.sort_by_key(JournalRecord::key_prefix);
+    let mut start = 0;
+    while start < records.len() {
+        let prefix = records[start].key_prefix();
+        let tied = records[start + 1..]
+            .iter()
+            .take_while(|r| r.key_prefix() == prefix)
+            .count();
+        let end = start + 1 + tied;
+        if tied > 0 {
+            records[start..end].sort_by_cached_key(|r| (r.payload(), r.shard, r.seq));
         }
-        let record: JournalRecord =
-            serde_json::from_str(line).map_err(|e| format!("journal line {}: {e:?}", i + 1))?;
-        out.push(record);
+        start = end;
     }
-    Ok(out)
+}
+
+/// Write records as JSONL, one compact record per line, in the given
+/// order. The one journal encoding: `--journal` files and the record lines
+/// of a campaign checkpoint are both this.
+pub fn write_jsonl(records: &[JournalRecord], mut out: impl Write) -> io::Result<()> {
+    for record in records {
+        serde_json::to_writer(&mut out, record)?;
+        out.write_all(b"\n")?;
+    }
+    Ok(())
+}
+
+/// [`write_jsonl`] into a `String`.
+pub fn to_jsonl(records: &[JournalRecord]) -> Result<String, serde_json::Error> {
+    let mut out = Vec::new();
+    write_jsonl(records, &mut out).map_err(serde_json::Error::io)?;
+    String::from_utf8(out)
+        .map_err(|e| serde_json::Error::io(io::Error::new(io::ErrorKind::InvalidData, e)))
+}
+
+/// Read a JSONL journal one line at a time: an iterator of records in file
+/// order. Blank lines are skipped; a malformed line (or a read error)
+/// yields an error naming its 1-based line number.
+pub fn read_jsonl<R: BufRead>(input: R) -> JsonlReader<R> {
+    JsonlReader {
+        input,
+        line: String::new(),
+        line_no: 0,
+    }
+}
+
+/// [`read_jsonl`]'s iterator. It holds one line at a time.
+pub struct JsonlReader<R> {
+    input: R,
+    line: String,
+    line_no: usize,
+}
+
+impl<R: BufRead> Iterator for JsonlReader<R> {
+    type Item = Result<JournalRecord, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            self.line.clear();
+            self.line_no += 1;
+            let line_no = self.line_no;
+            let error = |e: &dyn std::fmt::Display| format!("journal line {line_no}: {e}");
+            match self.input.read_line(&mut self.line) {
+                Ok(0) => return None,
+                Ok(_) if self.line.trim().is_empty() => {}
+                Ok(_) => return Some(serde_json::from_str(&self.line).map_err(|e| error(&e))),
+                Err(e) => return Some(Err(error(&e))),
+            }
+        }
+    }
+}
+
+/// Parse a JSONL journal held in memory ([`read_jsonl`] over its bytes).
+pub fn from_jsonl(input: &str) -> Result<Vec<JournalRecord>, String> {
+    read_jsonl(input.as_bytes()).collect()
 }
 
 struct JournalBuf {
@@ -397,6 +464,64 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         let parsed = from_jsonl(&text).unwrap();
         assert_eq!(parsed, records);
+    }
+
+    #[test]
+    fn sort_matches_the_cached_sort_key_on_full_ties() {
+        // Every record shares (at_ms, rank, node); payloads, shards and
+        // sequence numbers are the only tie-breakers, and several records
+        // tie on the payload too.
+        let mut records = Vec::new();
+        for (i, domain) in ["b.x", "a.x", "b.x", "c.x", "a.x", "a\"x", "é.x", "b.x"]
+            .iter()
+            .enumerate()
+        {
+            let mut r = decoy(500, (i % 3) as u32, domain);
+            r.seq = (7 * i as u64) % 5;
+            records.push(r);
+        }
+        records.push(JournalRecord {
+            node: None,
+            ..decoy(500, 0, "a.x")
+        });
+        let mut oracle = records.clone();
+        oracle.sort_by_cached_key(JournalRecord::sort_key);
+        for rotation in 0..records.len() {
+            let mut sorted = records.clone();
+            sorted.rotate_left(rotation);
+            sorted.reverse();
+            sort_records(&mut sorted);
+            assert_eq!(sorted, oracle, "rotation {rotation}");
+        }
+    }
+
+    #[test]
+    fn write_jsonl_streams_what_to_jsonl_returns() {
+        let records = vec![decoy(1, 0, "a\n.example"), decoy(2, 3, "🦀.example")];
+        let mut bytes = Vec::new();
+        write_jsonl(&records, &mut bytes).unwrap();
+        assert_eq!(bytes, to_jsonl(&records).unwrap().into_bytes());
+        let lines: Vec<String> = records
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .collect();
+        assert_eq!(bytes, lines.concat().into_bytes());
+        let back: Result<Vec<_>, _> = read_jsonl(&bytes[..]).collect();
+        assert_eq!(back.unwrap(), records);
+    }
+
+    #[test]
+    fn read_jsonl_names_the_bad_line() {
+        let good = to_jsonl(&[decoy(1, 0, "a.example")]).unwrap();
+        let text = format!("{good}\n{{\"at_ms\":\n");
+        let err = from_jsonl(&text).unwrap_err();
+        assert!(err.starts_with("journal line 3:"), "{err}");
+        let mut bytes = good.into_bytes();
+        bytes.extend_from_slice(b"\xff\n");
+        let err = read_jsonl(&bytes[..])
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err();
+        assert!(err.starts_with("journal line 2:"), "{err}");
     }
 
     #[test]

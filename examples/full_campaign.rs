@@ -45,9 +45,12 @@
 //! loudly instead of silently blending two campaigns. Campaign mode
 //! always records telemetry (the checkpoint carries the journal and
 //! metrics) and prints the evaluation report for the final wave.
+//! `--journal` there writes the cumulative journal, also when a
+//! `--resume` finds no wave left to run.
 
 use shadow_analysis::report::{pct, render_series, render_table};
 use shadow_serve::{CampaignCheckpoint, CampaignDriver, ServeConfig, ServeError};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use traffic_shadowing::shadow_analysis;
 use traffic_shadowing::shadow_chaos::{FaultProfile, RetrySpec};
@@ -55,6 +58,7 @@ use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
 use traffic_shadowing::shadow_netsim::time::SimDuration;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
+use traffic_shadowing::shadow_telemetry::{write_jsonl, JournalRecord};
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 const USAGE: &str = "usage: full_campaign [seed] [--shards N] [--tiny] [--paper-scale] \
@@ -886,22 +890,11 @@ fn print_artifacts(
         }
     }
     if let (Some(journal), Some(path)) = (&outcome.journal, &journal_out) {
-        match traffic_shadowing::shadow_telemetry::to_jsonl(journal) {
-            Ok(jsonl) => {
-                if let Err(e) = std::fs::write(path, jsonl) {
-                    eprintln!("failed to write journal to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!(
-                    "event journal ({} records) written to {path}",
-                    journal.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("failed to serialize journal: {e:?}");
-                std::process::exit(1);
-            }
-        }
+        write_journal(journal, path);
+        println!(
+            "event journal ({} records) written to {path}",
+            journal.len()
+        );
     }
 
     // ------------------------------------------------- JSON artifact
@@ -912,6 +905,19 @@ fn print_artifacts(
         if std::fs::write(&path, json).is_ok() {
             println!("\nanalysis bundle written to {}", path.display());
         }
+    }
+}
+
+/// Stream `journal` to `path` as JSONL; exits 1 on any I/O failure.
+fn write_journal(journal: &[JournalRecord], path: &str) {
+    let written = std::fs::File::create(path).and_then(|file| {
+        let mut out = std::io::BufWriter::new(file);
+        write_jsonl(journal, &mut out)?;
+        out.flush()
+    });
+    if let Err(e) = written {
+        eprintln!("failed to write journal to {path}: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -1057,22 +1063,11 @@ fn run_campaign(
         }
     }
     if let Some(path) = &journal_out {
-        match traffic_shadowing::shadow_telemetry::to_jsonl(driver.journal()) {
-            Ok(jsonl) => {
-                if let Err(e) = std::fs::write(path, jsonl) {
-                    eprintln!("failed to write journal to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!(
-                    "campaign journal ({} records) written to {path}",
-                    driver.journal().len()
-                );
-            }
-            Err(e) => {
-                eprintln!("failed to serialize journal: {e:?}");
-                std::process::exit(1);
-            }
-        }
+        write_journal(driver.journal(), path);
+        println!(
+            "campaign journal ({} records) written to {path}",
+            driver.journal().len()
+        );
     }
 
     match last_outcome {

@@ -7,6 +7,7 @@
 
 use shadow_serve::{CampaignCheckpoint, CampaignDriver, ServeConfig, ServeError};
 use traffic_shadowing::shadow_chaos::FaultProfile;
+use traffic_shadowing::shadow_telemetry::to_jsonl;
 
 const SEED: u64 = 4242;
 
@@ -86,6 +87,32 @@ fn cumulative_aggregates_are_shard_invariant() {
         serde_json::to_string_pretty(&driver.aggregates().to_portable()).expect("renders")
     };
     assert_eq!(rendered(1), rendered(4));
+}
+
+#[test]
+fn saved_checkpoint_is_a_head_line_then_the_journal_jsonl() {
+    // One encoding for the journal: after its head line, a checkpoint file
+    // is byte for byte the `--journal` JSONL of the driver's journal, and
+    // both save paths write exactly `to_json()`.
+    let mut driver = CampaignDriver::new(config(1, false));
+    driver.run_next_wave();
+    let dir = std::env::temp_dir();
+    let streamed = dir.join(format!("shadow-serve-streamed-{}.ckpt", std::process::id()));
+    let owned = dir.join(format!("shadow-serve-owned-{}.ckpt", std::process::id()));
+    driver.save_checkpoint(&streamed).expect("driver saves");
+    let checkpoint = driver.checkpoint();
+    checkpoint.save(&owned).expect("checkpoint saves");
+    let streamed_bytes = std::fs::read(&streamed).expect("reads");
+    let owned_bytes = std::fs::read(&owned).expect("reads");
+    std::fs::remove_file(&streamed).ok();
+    std::fs::remove_file(&owned).ok();
+
+    let rendered = checkpoint.to_json().expect("renders");
+    assert_eq!(streamed_bytes, rendered.as_bytes());
+    assert_eq!(owned_bytes, rendered.as_bytes());
+    let body = rendered.split_once('\n').expect("has a head line").1;
+    assert!(!driver.journal().is_empty());
+    assert_eq!(body, to_jsonl(driver.journal()).expect("renders"));
 }
 
 #[test]

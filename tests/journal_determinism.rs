@@ -5,9 +5,14 @@
 //! 2. Journals from different chunk counts align under `journal diff`'s
 //!    total event key order: the same world events occur at the same
 //!    sim-times regardless of how the VPs were partitioned.
+//! 3. `sort_records` orders a shuffled faulty journal exactly as sorting
+//!    by the rendered `JournalRecord::sort_key` does.
 
+use traffic_shadowing::shadow_chaos::{FaultProfile, RetrySpec};
 use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
-use traffic_shadowing::shadow_telemetry::{diff, from_jsonl, to_jsonl, JournalRecord};
+use traffic_shadowing::shadow_telemetry::{
+    diff, from_jsonl, sort_records, to_jsonl, JournalRecord,
+};
 use traffic_shadowing::study::{Study, StudyConfig};
 
 const SEED: u64 = 99;
@@ -73,5 +78,42 @@ fn different_seeds_produce_different_journals() {
     assert!(
         !report.identical(),
         "distinct seeds must produce distinct journals"
+    );
+}
+
+#[test]
+fn sort_records_matches_the_rendered_sort_key() {
+    let faulty = StudyConfig {
+        faults: Some(FaultProfile {
+            dns_retry: Some(RetrySpec::STANDARD),
+            ..FaultProfile::with_loss("oracle-loss", 0.05, 5)
+        }),
+        ..config()
+    };
+    let shape = StealConfig::with_workers(2).with_chunks(2);
+    let mut records = Study::run_work_stealing(faulty, shape)
+        .journal
+        .expect("journal enabled");
+    // Fisher–Yates under SplitMix64, so the sort has real work to do.
+    let mut state = 0x5eed_u64;
+    for i in (1..records.len()).rev() {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        records.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+    }
+    let mut oracle = records.clone();
+    oracle.sort_by_cached_key(JournalRecord::sort_key);
+    let prefix = |r: &JournalRecord| (r.at_ms, r.event.rank(), r.node);
+    let ties = oracle
+        .windows(2)
+        .filter(|w| prefix(&w[0]) == prefix(&w[1]))
+        .count();
+    assert!(ties > 0, "the journal must exercise the payload tie-break");
+    sort_records(&mut records);
+    assert!(
+        records == oracle,
+        "sort_records departs from the sort_key order"
     );
 }
