@@ -15,7 +15,7 @@ use shadow_packet::transport::{DnsTransport, EncryptionDeployment, TlsMode};
 use shadow_telemetry::{sort_records, EventKind, JournalRecord, MetricsSnapshot};
 use shadow_topo::RouterGraphBuilder;
 use shadow_vantage::platform::VpId;
-use shadow_vantage::schedule::RateLimitedScheduler;
+use shadow_vantage::schedule::{dense_slots, RateLimitedScheduler};
 use shadow_vantage::vp::{DnsRetry, VantagePointHost, VpCommand, VpReport};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -261,8 +261,12 @@ impl CampaignRunner {
     }
 
     /// Schedule every Phase I send without posting or naming anything.
+    ///
+    /// The scheduler's slots are dense: each VP is its roster position
+    /// (roster ids are distinct) and each distinct target address gets one
+    /// slot, numbered once per plan — the 2 pps cap is per address, so a
+    /// site's HTTP and TLS decoys share a slot.
     pub fn plan_phase1(world: &World, config: &Phase1Config) -> Phase1Plan {
-        let mut scheduler = RateLimitedScheduler::paper_defaults();
         let start0 = world.engine.now() + SimDuration::from_secs(5);
         let mut plan = Phase1Plan {
             sends: Vec::new(),
@@ -278,13 +282,17 @@ impl CampaignRunner {
             dns_targets: world.dns_destinations.iter().map(|d| d.addr).collect(),
             web_targets: world.tranco.iter().map(|s| s.addr).collect(),
         };
-        let mut sends = Vec::with_capacity(plan.vps.len() * plan.sends_per_vp() * config.rounds);
+        // One VP round's target slots, in `vp_sends` order.
+        let (row, targets) = dense_slots(plan.vp_sends().map(|(_, dst)| dst));
+        let mut scheduler = RateLimitedScheduler::paper_defaults(targets, plan.vps.len());
+        let mut sends = Vec::with_capacity(plan.vps.len() * row.len() * config.rounds);
         for round in 0..config.rounds {
             let round_start = start0 + config.round_gap.saturating_mul(round as u64);
-            for &(vp, _, _) in &plan.vps {
-                for (_, dst) in plan.vp_sends() {
-                    sends.push(scheduler.reserve(round_start, vp, dst));
-                }
+            for vp in 0..plan.vps.len() {
+                sends.extend(
+                    row.iter()
+                        .map(|&target| scheduler.reserve(round_start, vp, target)),
+                );
             }
         }
         plan.last_send = sends.iter().copied().fold(plan.last_send, SimTime::max);

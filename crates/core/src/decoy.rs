@@ -2,6 +2,7 @@
 
 use crate::ident::DecoyIdent;
 use serde::{Deserialize, Serialize};
+use shadow_netsim::hash::FastMap;
 use shadow_netsim::time::SimTime;
 use shadow_packet::dns::DnsName;
 use shadow_vantage::platform::VpId;
@@ -62,7 +63,7 @@ impl DecoyRecord {
 #[derive(Debug, Clone, Default)]
 pub struct DecoyRegistry {
     zone: Option<DnsName>,
-    by_domain: HashMap<DnsName, u32>,
+    by_domain: FastMap<DnsName, u32>,
     records: Vec<DecoyRecord>,
 }
 
@@ -70,7 +71,7 @@ impl DecoyRegistry {
     pub fn new(zone: DnsName) -> Self {
         Self {
             zone: Some(zone),
-            by_domain: HashMap::new(),
+            by_domain: FastMap::default(),
             records: Vec::new(),
         }
     }
@@ -169,7 +170,7 @@ impl DecoyRegistry {
     pub fn filter_vps(&self, owns: impl Fn(VpId) -> bool) -> DecoyRegistry {
         let mut out = DecoyRegistry {
             zone: self.zone.clone(),
-            by_domain: HashMap::new(),
+            by_domain: FastMap::default(),
             records: Vec::new(),
         };
         for record in self.iter() {

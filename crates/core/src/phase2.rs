@@ -18,7 +18,7 @@ use shadow_packet::transport::{DnsTransport, EncryptionDeployment};
 use shadow_telemetry::EventKind;
 use shadow_topo::{ProbePath, RouterGraphBuilder};
 use shadow_vantage::platform::VpId;
-use shadow_vantage::schedule::RateLimitedScheduler;
+use shadow_vantage::schedule::{dense_slots, RateLimitedScheduler};
 use shadow_vantage::vp::VpCommand;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -113,7 +113,6 @@ impl Phase2Runner {
     pub fn plan(world: &World, paths: &[PathKey], config: &Phase2Config) -> Phase2Plan {
         let zone = world.zone.clone();
         let mut registry = DecoyRegistry::new(zone);
-        let mut scheduler = RateLimitedScheduler::paper_defaults();
         let mut sends = Vec::new();
         let start = world.engine.now() + SimDuration::from_secs(5);
         let mut last_send = start;
@@ -126,12 +125,15 @@ impl Phase2Runner {
             .collect();
 
         let traced: Vec<PathKey> = paths.iter().copied().take(config.max_paths).collect();
+        let (vp_slots, vps) = dense_slots(traced.iter().map(|key| key.vp));
+        let (dst_slots, targets) = dense_slots(traced.iter().map(|key| key.dst));
+        let mut scheduler = RateLimitedScheduler::paper_defaults(targets, vps);
         for (sweep, key) in traced.iter().enumerate() {
             let Some(&(vp_node, vp_addr)) = vp_index.get(&key.vp) else {
                 continue;
             };
             for ttl in 1..=config.max_ttl {
-                let at = scheduler.reserve(start, key.vp, key.dst);
+                let at = scheduler.reserve(start, vp_slots[sweep], dst_slots[sweep]);
                 let record = registry.register(
                     key.vp,
                     vp_addr,

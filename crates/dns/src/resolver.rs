@@ -10,6 +10,7 @@
 use crate::profile::ResolverProfile;
 use rand::Rng;
 use shadow_netsim::engine::{Ctx, Host};
+use shadow_netsim::hash::FastMap;
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::transport::Transport;
 use shadow_observer::retention::RetentionStore;
@@ -19,7 +20,6 @@ use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::transport::DnsTransport;
 use shadow_packet::udp::UdpDatagram;
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Counters for tests and ground-truth bookkeeping.
@@ -71,14 +71,14 @@ pub struct RecursiveResolverHost {
     profile: ResolverProfile,
     /// zone apex → authoritative server address.
     zones: Vec<(DnsName, Ipv4Addr)>,
-    cache: HashMap<DnsName, CacheEntry>,
-    pending: HashMap<u16, PendingResolution>,
+    cache: FastMap<DnsName, CacheEntry>,
+    pending: FastMap<u16, PendingResolution>,
     /// Coalescing index: in-flight qname → upstream id.
-    in_flight: HashMap<DnsName, u16>,
+    in_flight: FastMap<DnsName, u16>,
     /// Timer token → qname for benign duplicate queries.
-    retry_tokens: HashMap<u64, DnsName>,
+    retry_tokens: FastMap<u64, DnsName>,
     /// Timer token → qname for active cache refreshes.
-    refresh_tokens: HashMap<u64, DnsName>,
+    refresh_tokens: FastMap<u64, DnsName>,
     next_token: u64,
     shadow_store: Option<RetentionStore>,
     next_upstream_id: u16,
@@ -101,11 +101,11 @@ impl RecursiveResolverHost {
             egress_addr,
             profile,
             zones,
-            cache: HashMap::new(),
-            pending: HashMap::new(),
-            in_flight: HashMap::new(),
-            retry_tokens: HashMap::new(),
-            refresh_tokens: HashMap::new(),
+            cache: FastMap::default(),
+            pending: FastMap::default(),
+            in_flight: FastMap::default(),
+            retry_tokens: FastMap::default(),
+            refresh_tokens: FastMap::default(),
             next_token: 1,
             shadow_store,
             next_upstream_id: 1,

@@ -6,6 +6,7 @@ use crate::capture::{
     capture_with_telemetry, Arrival, ArrivalProtocol, CaptureLog, Label, SharedArrivalSink,
 };
 use shadow_netsim::engine::{Ctx, Host};
+use shadow_netsim::hash::FastMap;
 use shadow_netsim::tcp::{ConnKey, TcpEvent, TcpStack};
 use shadow_netsim::time::SimDuration;
 use shadow_netsim::topology::NodeId;
@@ -19,7 +20,6 @@ use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::tcp::TcpSegment;
 use shadow_packet::tls::{ClientHello, TlsRecord};
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Destination-side shadowing: the server's own network silently records
@@ -160,7 +160,7 @@ pub struct WebHost {
     /// Phase I traffic starts, `None` during preflight and unit tests.
     sink: Option<SharedArrivalSink>,
     /// Buffered bytes per connection until a full request parses.
-    rx: HashMap<ConnKey, Vec<u8>>,
+    rx: FastMap<ConnKey, Vec<u8>>,
     /// Optional destination-side shadowing sensor.
     shadow: Option<SiteShadow>,
     pub http_requests_served: u64,
@@ -188,7 +188,7 @@ impl WebHost {
             honeypot_region,
             captures: CaptureLog::new(),
             sink: None,
-            rx: HashMap::new(),
+            rx: FastMap::default(),
             shadow: None,
             http_requests_served: 0,
             tls_hellos_seen: 0,

@@ -3,6 +3,7 @@
 //! on-path wire taps (where traffic observers live).
 
 use crate::fault::{LinkConditioner, LinkVerdict};
+use crate::hash::FastMap;
 use crate::slab::{Slab, SlabKey};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
@@ -13,7 +14,6 @@ use shadow_packet::DecodedView;
 use shadow_telemetry::{EventKind as TelemetryEvent, Telemetry};
 use std::any::Any;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -248,8 +248,14 @@ pub struct Engine {
     /// then recycles freed slots through the slab's free list — the hot
     /// loop stops round-tripping the global allocator per event.
     events: Slab<EventKind>,
-    hosts: HashMap<NodeId, Box<dyn Host>>,
-    taps: HashMap<NodeId, Vec<Box<dyn WireTap>>>,
+    /// Host bound to each node, indexed by [`NodeId`] (one slot per
+    /// topology node). A callback takes its host out of the slot and puts
+    /// it back afterwards.
+    hosts: Vec<Option<Box<dyn Host>>>,
+    /// Taps stacked on each node, indexed by [`NodeId`] (one list per
+    /// topology node); a node without taps costs the per-hop path one
+    /// length check.
+    taps: Vec<Vec<Box<dyn WireTap>>>,
     now: SimTime,
     seq: u64,
     ident: u16,
@@ -263,7 +269,7 @@ pub struct Engine {
     /// contend on a shared lock — each shard's engine warms its own cache
     /// with exactly the routes its traffic uses. `None` records an
     /// unroutable destination (negative caching).
-    route_cache: HashMap<(NodeId, Ipv4Addr), Option<Arc<[NodeId]>>>,
+    route_cache: FastMap<(NodeId, Ipv4Addr), Option<Arc<[NodeId]>>>,
     /// Reusable action buffer for [`Engine::dispatch`] (one allocation for
     /// the whole run instead of one per event).
     scratch_actions: Vec<Action>,
@@ -273,19 +279,20 @@ pub struct Engine {
 
 impl Engine {
     pub fn new(topo: Topology) -> Self {
+        let nodes = topo.node_count();
         Self {
             topo,
             queue: TimeWheel::new(),
             events: Slab::new(),
-            hosts: HashMap::new(),
-            taps: HashMap::new(),
+            hosts: std::iter::repeat_with(|| None).take(nodes).collect(),
+            taps: std::iter::repeat_with(Vec::new).take(nodes).collect(),
             now: SimTime::ZERO,
             seq: 0,
             ident: 1,
             stats: EngineStats::default(),
             telemetry: Telemetry::disabled(),
             conditioner: None,
-            route_cache: HashMap::new(),
+            route_cache: FastMap::default(),
             scratch_actions: Vec::new(),
             batch: Vec::new(),
         }
@@ -328,42 +335,56 @@ impl Engine {
     }
 
     /// Bind a host application to a node. Replaces any previous binding.
+    ///
+    /// # Panics
+    ///
+    /// If `node` is not in the topology.
     pub fn add_host(&mut self, node: NodeId, host: Box<dyn Host>) {
-        self.hosts.insert(node, host);
+        self.hosts[node.0 as usize] = Some(host);
     }
 
     /// Attach a wire tap to a router node. Multiple taps stack in order.
+    ///
+    /// # Panics
+    ///
+    /// If `node` is not in the topology.
     pub fn add_tap(&mut self, node: NodeId, tap: Box<dyn WireTap>) {
-        self.taps.entry(node).or_default().push(tap);
+        self.taps[node.0 as usize].push(tap);
     }
 
     /// Borrow a host downcast to its concrete type (post-run harvesting).
     pub fn host_as<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.hosts.get(&node)?.as_any().downcast_ref::<T>()
+        self.hosts
+            .get(node.0 as usize)?
+            .as_ref()?
+            .as_any()
+            .downcast_ref::<T>()
     }
 
     /// Mutably borrow a host downcast to its concrete type.
     pub fn host_as_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.hosts.get_mut(&node)?.as_any_mut().downcast_mut::<T>()
+        self.hosts
+            .get_mut(node.0 as usize)?
+            .as_mut()?
+            .as_any_mut()
+            .downcast_mut::<T>()
     }
 
     /// Borrow a tap downcast to its concrete type.
     pub fn tap_as<T: 'static>(&self, node: NodeId, index: usize) -> Option<&T> {
         self.taps
-            .get(&node)?
+            .get(node.0 as usize)?
             .get(index)?
             .as_any()
             .downcast_ref::<T>()
     }
 
     /// Visit every attached tap mutably — for between-phase
-    /// reconfiguration (e.g. closing a telemetry window). Visit order is
-    /// unspecified; callers must not depend on it.
+    /// reconfiguration (e.g. closing a telemetry window). Taps are visited
+    /// in node order, each node's in stacking order.
     pub fn for_each_tap_mut(&mut self, mut f: impl FnMut(&mut dyn WireTap)) {
-        for taps in self.taps.values_mut() {
-            for tap in taps.iter_mut() {
-                f(tap.as_mut());
-            }
+        for tap in self.taps.iter_mut().flatten() {
+            f(tap.as_mut());
         }
     }
 
@@ -606,7 +627,7 @@ impl Engine {
                 self.hop(pkt, view, path, idx, &mut actions);
             }
             EventKind::HostTimer { node, token } => {
-                if let Some(mut host) = self.hosts.remove(&node) {
+                if let Some(mut host) = self.take_host(node) {
                     let mut ctx = Ctx {
                         now: self.now,
                         node,
@@ -615,7 +636,7 @@ impl Engine {
                         actions: &mut actions,
                     };
                     host.on_timer(token, &mut ctx);
-                    self.hosts.insert(node, host);
+                    self.hosts[node.0 as usize] = Some(host);
                 }
             }
             EventKind::TapTimer {
@@ -623,22 +644,23 @@ impl Engine {
                 tap_index,
                 token,
             } => {
-                if let Some(mut taps) = self.taps.remove(&node) {
-                    if let Some(tap) = taps.get_mut(tap_index) {
-                        let mut ctx = Ctx {
-                            now: self.now,
-                            node,
-                            tap: Some(tap_index),
-                            telemetry: &self.telemetry,
-                            actions: &mut actions,
-                        };
-                        tap.on_timer(token, &mut ctx);
-                    }
-                    self.taps.insert(node, taps);
+                if let Some(tap) = self
+                    .taps
+                    .get_mut(node.0 as usize)
+                    .and_then(|taps| taps.get_mut(tap_index))
+                {
+                    let mut ctx = Ctx {
+                        now: self.now,
+                        node,
+                        tap: Some(tap_index),
+                        telemetry: &self.telemetry,
+                        actions: &mut actions,
+                    };
+                    tap.on_timer(token, &mut ctx);
                 }
             }
             EventKind::Message { node, msg } => {
-                if let Some(mut host) = self.hosts.remove(&node) {
+                if let Some(mut host) = self.take_host(node) {
                     let mut ctx = Ctx {
                         now: self.now,
                         node,
@@ -647,12 +669,18 @@ impl Engine {
                         actions: &mut actions,
                     };
                     host.on_message(msg, &mut ctx);
-                    self.hosts.insert(node, host);
+                    self.hosts[node.0 as usize] = Some(host);
                 }
             }
         }
         self.apply(&mut actions);
         self.scratch_actions = actions;
+    }
+
+    /// Take `node`'s host out of its slot for a callback (`None` when no
+    /// host is bound); the caller puts it back.
+    fn take_host(&mut self, node: NodeId) -> Option<Box<dyn Host>> {
+        self.hosts.get_mut(node.0 as usize)?.take()
     }
 
     fn hop(
@@ -682,7 +710,8 @@ impl Engine {
         if node.is_router() {
             // Taps observe arriving packets (a DPI box sees the wire even
             // when the packet is about to expire here).
-            if let Some(mut taps) = self.taps.remove(&node_id) {
+            let taps = &mut self.taps[node_id.0 as usize];
+            if !taps.is_empty() {
                 let mut dropped = false;
                 for (tap_index, tap) in taps.iter_mut().enumerate() {
                     if let Some(m) = self.telemetry.metrics() {
@@ -708,7 +737,6 @@ impl Engine {
                         break;
                     }
                 }
-                self.taps.insert(node_id, taps);
                 if dropped {
                     self.stats.packets_dropped_by_tap += 1;
                     if let Some(m) = self.telemetry.metrics() {
@@ -787,7 +815,7 @@ impl Engine {
             if let Some(m) = self.telemetry.metrics() {
                 m.packets_delivered.inc();
             }
-            if let Some(mut host) = self.hosts.remove(&node_id) {
+            if let Some(mut host) = self.take_host(node_id) {
                 let mut ctx = Ctx {
                     now: self.now,
                     node: node_id,
@@ -796,7 +824,7 @@ impl Engine {
                     actions,
                 };
                 host.on_packet(pkt, &mut ctx);
-                self.hosts.insert(node_id, host);
+                self.hosts[node_id.0 as usize] = Some(host);
             }
             // No host bound: silent blackhole (e.g. pair-resolver addresses).
         }
@@ -1231,6 +1259,125 @@ mod tests {
         w.engine.run_to_completion();
         assert_eq!(w.engine.stats().packets_delivered, 1);
         // Nothing came back, no crash: the client had no host either.
+    }
+
+    /// Hosts first, routers last: the highest `NodeId` is the router on
+    /// the AS 20 side of the only inter-AS link.
+    fn routers_last() -> (Engine, NodeId, NodeId, Ipv4Addr, Ipv4Addr) {
+        let mut tb = TopologyBuilder::new(3);
+        tb.add_as(Asn(10), Region::Europe);
+        tb.add_as(Asn(20), Region::Europe);
+        tb.link(Asn(10), Asn(20)).unwrap();
+        let (a, b) = (Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(20, 1, 0, 1));
+        let client = tb.add_host(Asn(10), a).unwrap();
+        tb.add_host(Asn(20), b).unwrap();
+        tb.add_router(Asn(10), Ipv4Addr::new(10, 0, 0, 1), true)
+            .unwrap();
+        let last = tb
+            .add_router(Asn(20), Ipv4Addr::new(20, 0, 0, 1), true)
+            .unwrap();
+        (Engine::new(tb.build().unwrap()), client, last, a, b)
+    }
+
+    #[test]
+    fn hosts_and_taps_bind_at_the_highest_node_id() {
+        let (mut engine, client, last, a, b) = routers_last();
+        assert_eq!(last.0 as usize, engine.topology().node_count() - 1);
+        engine.add_tap(
+            last,
+            Box::new(CountingTap {
+                seen: 0,
+                poison: None,
+            }),
+        );
+        engine.inject(SimTime::ZERO, client, udp_packet(a, b, DEFAULT_TTL, b"x"));
+        engine.run_to_completion();
+        assert_eq!(engine.tap_as::<CountingTap>(last, 0).unwrap().seen, 1);
+
+        let mut w = world();
+        let highest = NodeId(w.engine.topology().node_count() as u32 - 1);
+        assert_eq!(highest, w.server);
+        w.engine.add_host(highest, Box::new(Sink::new()));
+        w.engine.inject(
+            SimTime::ZERO,
+            w.client,
+            udp_packet(w.client_addr, w.server_addr, DEFAULT_TTL, b"last"),
+        );
+        w.engine.run_to_completion();
+        assert_eq!(w.engine.host_as::<Sink>(highest).unwrap().received.len(), 1);
+    }
+
+    #[test]
+    fn lookups_on_unbound_or_unknown_nodes_are_none() {
+        let mut w = world();
+        let beyond = NodeId(w.engine.topology().node_count() as u32 + 5);
+        w.engine.add_host(w.client, Box::new(Sink::new()));
+        assert!(w.engine.host_as::<Sink>(w.server).is_none(), "unbound");
+        assert!(w.engine.host_as::<Sink>(beyond).is_none());
+        assert!(w.engine.host_as_mut::<Sink>(beyond).is_none());
+        assert!(w.engine.host_as::<Echo>(w.client).is_none(), "wrong type");
+        assert!(w.engine.tap_as::<CountingTap>(w.first_router, 0).is_none());
+        assert!(w.engine.tap_as::<CountingTap>(beyond, 0).is_none());
+        // Messages to a node with no host vanish, as before.
+        w.engine.post(SimTime::ZERO, w.server, Box::new(()));
+        w.engine.post(SimTime::ZERO, beyond, Box::new(()));
+        assert_eq!(w.engine.run_to_completion(), 2);
+    }
+
+    #[test]
+    fn tap_timer_without_a_tap_does_nothing() {
+        let mut w = world();
+        w.engine.add_tap(
+            w.first_router,
+            Box::new(CountingTap {
+                seen: 0,
+                poison: None,
+            }),
+        );
+        let beyond = NodeId(w.engine.topology().node_count() as u32);
+        for (node, tap_index) in [(w.server, 0), (w.first_router, 1), (beyond, 0)] {
+            w.engine.push(
+                SimTime(10),
+                EventKind::TapTimer {
+                    node,
+                    tap_index,
+                    token: 7,
+                },
+            );
+        }
+        assert_eq!(w.engine.run_to_completion(), 3);
+        assert_eq!(w.engine.stats().packets_sent, 0);
+        assert!(w.engine.queue.is_empty());
+    }
+
+    #[test]
+    fn for_each_tap_mut_visits_every_tap_once() {
+        let mut w = world();
+        let route = w.engine.topology().route(w.client, w.server).unwrap();
+        let stacks = [(route[1], 2), (route[route.len() - 2], 1), (w.server, 1)];
+        for &(node, taps) in &stacks {
+            for _ in 0..taps {
+                w.engine.add_tap(
+                    node,
+                    Box::new(CountingTap {
+                        seen: 0,
+                        poison: None,
+                    }),
+                );
+            }
+        }
+        let mut visits = 0;
+        w.engine.for_each_tap_mut(|tap| {
+            visits += 1;
+            tap.as_any_mut().downcast_mut::<CountingTap>().unwrap().seen += 1;
+        });
+        assert_eq!(visits, 4);
+        for &(node, taps) in &stacks {
+            for index in 0..taps {
+                let tap = w.engine.tap_as::<CountingTap>(node, index).unwrap();
+                assert_eq!(tap.seen, 1, "{node} tap {index}");
+            }
+        }
     }
 }
 

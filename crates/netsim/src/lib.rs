@@ -18,13 +18,16 @@
 //!   data, teardown) shared by every host that speaks HTTP or TLS;
 //! * [`fault`] — deterministic fault injection: value-derived per-packet
 //!   loss/duplication/jitter, node and link outage windows, ICMP rate
-//!   limiting, consulted by the engine only when a profile is installed.
+//!   limiting, consulted by the engine only when a profile is installed;
+//! * [`hash`] — [`FastHash`], the one deterministic hasher for maps keyed
+//!   by simulator-generated values.
 //!
 //! Everything is deterministic: same topology + same injected events ⇒
 //! byte-identical packet streams.
 
 pub mod engine;
 pub mod fault;
+pub mod hash;
 pub mod slab;
 pub mod tcp;
 pub mod time;
@@ -35,6 +38,7 @@ pub mod wheel;
 
 pub use engine::{Ctx, Engine, EngineStats, Host, TapVerdict, WireTap};
 pub use fault::{LinkConditioner, LinkVerdict, OutageWindow};
+pub use hash::{FastHash, FastMap, FastSet};
 pub use slab::{Slab, SlabKey};
 pub use tcp::{ConnKey, TcpEvent, TcpStack};
 pub use time::{SimDuration, SimTime};

@@ -11,9 +11,9 @@
 //! Sequence numbers are still tracked and verified so that tests can assert
 //! real handshake semantics.
 
+use crate::hash::FastMap;
 use shadow_packet::tcp::{TcpFlags, TcpSegment};
 use shadow_packet::SharedBytes;
-use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -64,23 +64,29 @@ pub enum TcpEvent {
     Reset(ConnKey),
 }
 
+/// The ephemeral range `alloc_port` hands out: 32768..=65535.
+const EPHEMERAL_FIRST: u16 = 32_768;
+
 /// Per-host TCP machinery. The owner passes outbound segments to the
 /// network itself (the stack only produces `TcpSegment`s, keeping it free of
 /// engine dependencies).
 #[derive(Debug)]
 pub struct TcpStack {
-    conns: HashMap<ConnKey, Conn>,
+    /// Every connection the stack ever opened: closed ones stay, so a
+    /// late segment on one is answered with RST.
+    conns: FastMap<ConnKey, Conn>,
     listen_ports: Vec<u16>,
-    next_ephemeral: u16,
+    /// The next ephemeral port to try; past 65535 once all are used.
+    next_ephemeral: u32,
     isn_counter: u32,
 }
 
 impl TcpStack {
     pub fn new(isn_seed: u32) -> Self {
         Self {
-            conns: HashMap::new(),
+            conns: FastMap::default(),
             listen_ports: Vec::new(),
-            next_ephemeral: 32_768,
+            next_ephemeral: u32::from(EPHEMERAL_FIRST),
             isn_counter: isn_seed,
         }
     }
@@ -112,19 +118,26 @@ impl TcpStack {
         self.isn_counter
     }
 
+    /// The lowest ephemeral port above the last one handed out that no
+    /// listener uses.
+    ///
+    /// This is the first free port of a cyclic walk over the range:
+    /// connections are never removed, and a passive connection's local
+    /// port is a listener's, so every port the walk has passed stays taken
+    /// and no port ahead of it is in use unless a listener holds it. Once
+    /// the walk passes 65535 the range is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// If all 32,768 ephemeral ports are taken.
     fn alloc_port(&mut self) -> u16 {
-        loop {
-            let port = self.next_ephemeral;
-            self.next_ephemeral = if self.next_ephemeral == u16::MAX {
-                32_768
-            } else {
-                self.next_ephemeral + 1
-            };
-            let in_use = self.conns.keys().any(|k| k.local_port == port);
-            if !in_use && !self.listen_ports.contains(&port) {
+        while let Ok(port) = u16::try_from(self.next_ephemeral) {
+            self.next_ephemeral += 1;
+            if !self.listen_ports.contains(&port) {
                 return port;
             }
         }
+        panic!("TcpStack: all 32768 ephemeral ports are in use");
     }
 
     /// Open a connection; returns the key and pushes the SYN to `out`.
@@ -350,6 +363,7 @@ impl TcpStack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const SERVER: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -453,6 +467,58 @@ mod tests {
         let mut data_out = Vec::new();
         assert!(!client.send(key, b"too early".to_vec(), &mut data_out));
         assert!(data_out.is_empty());
+    }
+
+    /// The allocator this stack replaced: walk the range cyclically and
+    /// take the first port no connection and no listener uses.
+    fn scanned_port(next: &mut u16, local_ports: &BTreeSet<u16>, listen: &[u16]) -> u16 {
+        loop {
+            let port = *next;
+            *next = if port == u16::MAX { 32_768 } else { port + 1 };
+            if !local_ports.contains(&port) && !listen.contains(&port) {
+                return port;
+            }
+        }
+    }
+
+    #[test]
+    fn ephemeral_ports_follow_the_scan_order() {
+        // Listeners at both ends of the range and in its middle; a passive
+        // connection on one of them.
+        let listen = [32_768, 40_000, 65_535];
+        let mut stack = TcpStack::new(13);
+        for port in listen {
+            stack.listen(port);
+        }
+        let mut out = Vec::new();
+        let syn = TcpSegment::syn(1_234, 40_000, 99);
+        stack.on_segment(CLIENT, syn, &mut out);
+        assert_eq!(stack.conns.len(), 1);
+        let mut local_ports = BTreeSet::from([40_000]);
+        let mut next = 32_768;
+        let mut allocated = Vec::new();
+        for _ in 0..32_768 - listen.len() {
+            let expected = scanned_port(&mut next, &local_ports, &listen);
+            out.clear();
+            let key = stack.connect(SERVER, 80, &mut out);
+            assert_eq!(key.local_port, expected);
+            local_ports.insert(expected);
+            allocated.push(expected);
+        }
+        assert_eq!(allocated.first(), Some(&32_769));
+        assert_eq!(allocated.last(), Some(&65_534));
+    }
+
+    #[test]
+    #[should_panic(expected = "all 32768 ephemeral ports are in use")]
+    fn connect_past_the_last_ephemeral_port_panics() {
+        let mut stack = TcpStack::new(14);
+        let mut out = Vec::new();
+        for port in 32_768..=u16::MAX {
+            out.clear();
+            assert_eq!(stack.connect(SERVER, 443, &mut out).local_port, port);
+        }
+        stack.connect(SERVER, 443, &mut out);
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! study II) register several host nodes under one address; routing delivers
 //! to the instance closest in AS hops, as BGP anycast does.
 
+use crate::hash::FastMap;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use shadow_geo::{Asn, Region};
 use shadow_topo::IpLookupTable;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -110,9 +111,9 @@ struct AsEntry {
 pub struct TopologyBuilder {
     seed: u64,
     nodes: Vec<Node>,
-    ases: HashMap<Asn, AsEntry>,
+    ases: FastMap<Asn, AsEntry>,
     links: BTreeSet<(Asn, Asn)>,
-    addr_map: HashMap<Ipv4Addr, Vec<NodeId>>,
+    addr_map: FastMap<Ipv4Addr, Vec<NodeId>>,
 }
 
 impl TopologyBuilder {
@@ -120,9 +121,9 @@ impl TopologyBuilder {
         Self {
             seed,
             nodes: Vec::new(),
-            ases: HashMap::new(),
+            ases: FastMap::default(),
             links: BTreeSet::new(),
-            addr_map: HashMap::new(),
+            addr_map: FastMap::default(),
         }
     }
 
@@ -237,7 +238,7 @@ impl TopologyBuilder {
                 return Err(TopologyError::NoRouters(entry.asn));
             }
         }
-        let mut adj: HashMap<Asn, Vec<Asn>> = HashMap::new();
+        let mut adj: FastMap<Asn, Vec<Asn>> = FastMap::default();
         for &(a, b) in &self.links {
             adj.entry(a).or_default().push(b);
             adj.entry(b).or_default().push(a);
@@ -255,13 +256,19 @@ impl TopologyBuilder {
             .into_iter()
             .map(|(addr, ids)| (addr, 32, ids))
             .collect();
+        let node_regions = self
+            .nodes
+            .iter()
+            .map(|n| self.ases[&n.asn].region)
+            .collect();
         Ok(Topology {
             seed: self.seed,
             nodes: self.nodes,
+            node_regions,
             ases: self.ases,
             adj,
             addr_map,
-            bfs_cache: Mutex::new(HashMap::new()),
+            bfs_cache: Mutex::new(FastMap::default()),
         })
     }
 }
@@ -269,8 +276,8 @@ impl TopologyBuilder {
 /// BFS tree rooted at one AS: distance and parent per reachable AS.
 #[derive(Debug)]
 struct BfsTree {
-    dist: HashMap<Asn, u32>,
-    parent: HashMap<Asn, Asn>,
+    dist: FastMap<Asn, u32>,
+    parent: FastMap<Asn, Asn>,
 }
 
 /// The frozen network graph plus routing machinery.
@@ -278,13 +285,16 @@ struct BfsTree {
 pub struct Topology {
     seed: u64,
     nodes: Vec<Node>,
-    ases: HashMap<Asn, AsEntry>,
-    adj: HashMap<Asn, Vec<Asn>>,
+    /// Each node's AS region, indexed by [`NodeId`] (fixed at build time,
+    /// so the per-hop latency model never looks an AS up).
+    node_regions: Vec<Region>,
+    ases: FastMap<Asn, AsEntry>,
+    adj: FastMap<Asn, Vec<Asn>>,
     /// Address → anycast group, frozen into the LPM trie at build time
     /// (every entry a /32; the per-packet destination resolutions the
     /// engine's route cache misses on go through this table).
     addr_map: IpLookupTable<Vec<NodeId>>,
-    bfs_cache: Mutex<HashMap<Asn, Arc<BfsTree>>>,
+    bfs_cache: Mutex<FastMap<Asn, Arc<BfsTree>>>,
 }
 
 impl Clone for Topology {
@@ -295,10 +305,11 @@ impl Clone for Topology {
         Self {
             seed: self.seed,
             nodes: self.nodes.clone(),
+            node_regions: self.node_regions.clone(),
             ases: self.ases.clone(),
             adj: self.adj.clone(),
             addr_map: self.addr_map.clone(),
-            bfs_cache: Mutex::new(HashMap::new()),
+            bfs_cache: Mutex::new(FastMap::default()),
         }
     }
 }
@@ -336,16 +347,16 @@ impl Topology {
             .unwrap_or(&[])
     }
 
-    fn region_of(&self, asn: Asn) -> Option<Region> {
-        self.ases.get(&asn).map(|e| e.region)
+    fn region(&self, id: NodeId) -> Region {
+        self.node_regions[id.0 as usize]
     }
 
     fn bfs_from(&self, root: Asn) -> Arc<BfsTree> {
         if let Some(tree) = self.bfs_cache.lock().get(&root) {
             return Arc::clone(tree);
         }
-        let mut dist = HashMap::new();
-        let mut parent = HashMap::new();
+        let mut dist = FastMap::default();
+        let mut parent = FastMap::default();
         let mut queue = VecDeque::new();
         dist.insert(root, 0u32);
         queue.push_back(root);
@@ -393,15 +404,15 @@ impl Topology {
         if candidates.is_empty() {
             return None;
         }
-        let src_as = self.node(src_node).asn;
-        let src_region = self.region_of(src_as);
-        let tree = self.bfs_from(src_as);
+        let src_region = self.region(src_node);
+        let tree = self.bfs_from(self.node(src_node).asn);
         candidates
             .iter()
             .filter_map(|&id| {
-                let asn = self.node(id).asn;
-                let region_penalty = u8::from(self.region_of(asn) != src_region);
-                tree.dist.get(&asn).map(|&d| (region_penalty, d, id))
+                let region_penalty = u8::from(self.region(id) != src_region);
+                tree.dist
+                    .get(&self.node(id).asn)
+                    .map(|&d| (region_penalty, d, id))
             })
             .min()
             .map(|(_, _, id)| id)
@@ -474,11 +485,9 @@ impl Topology {
 
     /// Classify the link between two adjacent path nodes.
     pub fn link_class(&self, a: NodeId, b: NodeId) -> LinkClass {
-        let na = self.node(a);
-        let nb = self.node(b);
-        if na.asn == nb.asn {
+        if self.node(a).asn == self.node(b).asn {
             LinkClass::IntraAs
-        } else if self.region_of(na.asn) == self.region_of(nb.asn) {
+        } else if self.region(a) == self.region(b) {
             LinkClass::InterAsSameRegion
         } else {
             LinkClass::InterRegion

@@ -13,6 +13,7 @@ use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use shadow_netsim::engine::{Ctx, Host};
+use shadow_netsim::hash::FastMap;
 use shadow_netsim::tcp::{ConnKey, TcpEvent, TcpStack};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::transport::Transport;
@@ -22,7 +23,6 @@ use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::tls::ClientHello;
 use shadow_packet::udp::UdpDatagram;
 use std::any::Any;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How this origin turns a domain into an address for HTTP/TLS probes, and
@@ -113,9 +113,9 @@ pub struct ProbeOriginHost {
     next_dns_id: u16,
     /// DNS lookups in flight: query id → (domain, what to do once
     /// resolved, the order's seed).
-    pending_dns: HashMap<u16, (DnsName, ProbeKind, u64)>,
+    pending_dns: FastMap<u16, (DnsName, ProbeKind, u64)>,
     /// TCP connections in flight.
-    pending_conns: HashMap<ConnKey, ConnPurpose>,
+    pending_conns: FastMap<ConnKey, ConnPurpose>,
     /// Everything this origin emitted.
     pub log: Vec<ProbeRecord>,
 }
@@ -128,8 +128,8 @@ impl ProbeOriginHost {
             http_paths_per_order: 2,
             tcp: TcpStack::new(seed as u32 | 1),
             next_dns_id: 1,
-            pending_dns: HashMap::new(),
-            pending_conns: HashMap::new(),
+            pending_dns: FastMap::default(),
+            pending_conns: FastMap::default(),
             log: Vec::new(),
         }
     }

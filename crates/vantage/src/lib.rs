@@ -10,8 +10,9 @@
 //!   commands, records DNS answers and ICMP Time Exceeded observations;
 //! * [`platform`] — recruitment, vetting, and the Table-1 capability
 //!   summary;
-//! * [`schedule`] — the round-robin decoy scheduler with the paper's
-//!   ≤2 packets/second/target ethical rate limit.
+//! * [`schedule`] — the decoy scheduler with the paper's
+//!   ≤2 packets/second/target ethical rate limit, over dense target and
+//!   VP slots.
 
 pub mod platform;
 pub mod providers;
@@ -20,5 +21,5 @@ pub mod vp;
 
 pub use platform::{Platform, PlatformSummary, VantagePoint, VpId};
 pub use providers::{Market, VpnProvider, VPN_PROVIDERS};
-pub use schedule::{RateLimitedScheduler, ScheduledSend};
+pub use schedule::{dense_slots, RateLimitedScheduler};
 pub use vp::{DnsAnswerRecord, IcmpObservation, VantagePointHost, VpCommand, VpReport};

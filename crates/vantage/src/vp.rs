@@ -9,6 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use shadow_netsim::engine::{Ctx, Host};
+use shadow_netsim::hash::FastMap;
 use shadow_netsim::tcp::{ConnKey, TcpEvent, TcpStack};
 use shadow_netsim::time::SimTime;
 use shadow_netsim::transport::Transport;
@@ -185,11 +186,11 @@ pub struct VantagePointHost {
     ttl_rewrite: Option<u8>,
     tcp: TcpStack,
     next_ident: u16,
-    pending_conns: HashMap<ConnKey, PendingConn>,
+    pending_conns: FastMap<ConnKey, PendingConn>,
     /// TTL to use for packets of each pending connection.
-    conn_ttl: HashMap<ConnKey, u8>,
+    conn_ttl: FastMap<ConnKey, u8>,
     /// Unanswered retry-protected DNS decoys, by ident.
-    pending_dns: HashMap<u16, PendingDns>,
+    pending_dns: FastMap<u16, PendingDns>,
     pub report: VpReport,
 }
 
@@ -200,9 +201,9 @@ impl VantagePointHost {
             ttl_rewrite,
             tcp: TcpStack::new(seed),
             next_ident: 1,
-            pending_conns: HashMap::new(),
-            conn_ttl: HashMap::new(),
-            pending_dns: HashMap::new(),
+            pending_conns: FastMap::default(),
+            conn_ttl: FastMap::default(),
+            pending_dns: FastMap::default(),
             report: VpReport::default(),
         }
     }
